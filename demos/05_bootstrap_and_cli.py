@@ -7,16 +7,18 @@ same file.  The CLI writes a manifest that `subdopt replay` can turn
 back into byte-identical reports.
 """
 
+import os
 import pathlib
 
 import numpy as np
 
 from subdopt import cli, simulate
 
-here = pathlib.Path(__file__).parent
-data_dir = here / "data"
-data_dir.mkdir(exist_ok=True)
-csv_path = data_dir / "synthetic.csv"
+# Relative paths from the repository root, so the manifests replay from
+# any checkout whatever directory this script is run from.
+os.chdir(pathlib.Path(__file__).resolve().parent.parent)
+csv_path = pathlib.Path("demos/data/synthetic.csv")
+csv_path.parent.mkdir(exist_ok=True)
 
 rng = np.random.default_rng(7)
 p = 3
@@ -38,7 +40,7 @@ for k in (6 * p, 10 * p, 16 * p, 32 * p):
           f"(median {agg['mse_slopes']['median']:.5f})")
 
 # the same workflow through the CLI
-out = here / "output"
+out = pathlib.Path("demos/output")
 cli.main(["select", "--input", str(csv_path), "--response", "y",
           "--method", "valg1", "--k", "40", "--K", "10",
           "--out", str(out / "select")])

@@ -7,34 +7,3 @@ reproducible simulation and bootstrap harnesses.
 """
 
 __version__ = "0.1.0"
-
-from .exchange import CandidatePool, ExchangeTrace, alg1, candidate_pool, valg1
-from .ingest import Dataset, IngestError, IngestSpec, ingest
-from .linalg import (CovarianceSummary, DowndateError, MomentState,
-                     SingularMomentError, augment, build_moment,
-                     covariance_summary, log_det, rank_one_update,
-                     swap_delta_logdet, trace_inverse)
-from .metrics import EfficiencyReport, MseReport, efficiency, hull_2d, mse
-from .seeding import (ConstantColumnError, ScalingParams, Selection,
-                      iboss_seed, oss_seed, scale_to_unit_cube,
-                      uniform_seed, unscale)
-from .simulate import (ConfigError, ExperimentConfig, ExperimentReport,
-                       ModelParams, OutlierSpec, adjusted_intercept,
-                       bootstrap_mse, gen_mvn_equicorr,
-                       gen_outlier_scenario, gen_response, ols_fit,
-                       run_experiment, select_subdata, timing_study)
-
-__all__ = [
-    "CandidatePool", "ConfigError", "ConstantColumnError",
-    "CovarianceSummary", "Dataset", "DowndateError", "EfficiencyReport",
-    "ExchangeTrace", "ExperimentConfig", "ExperimentReport", "IngestError",
-    "IngestSpec", "ModelParams", "MomentState", "MseReport", "OutlierSpec",
-    "ScalingParams", "Selection", "SingularMomentError",
-    "adjusted_intercept", "alg1", "augment", "bootstrap_mse",
-    "build_moment", "candidate_pool", "covariance_summary", "efficiency",
-    "gen_mvn_equicorr", "gen_outlier_scenario", "gen_response", "hull_2d",
-    "iboss_seed", "ingest", "log_det", "mse", "ols_fit", "oss_seed",
-    "rank_one_update", "run_experiment", "scale_to_unit_cube",
-    "select_subdata", "swap_delta_logdet", "timing_study",
-    "trace_inverse", "uniform_seed", "unscale", "valg1",
-]

@@ -1,4 +1,4 @@
-"""Command-line surface: select, simulate, bootstrap, timing, hull.
+"""Command-line surface: select, simulate, bootstrap, timing, hull, replay.
 
 Every command writes a run manifest (tool version, resolved config, rng
 seeds, input checksum, wall-clock timings, output checksums) next to its
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exchange, metrics, seeding, simulate
+from . import __version__, metrics, seeding, simulate
 from .ingest import IngestError, IngestSpec, ingest
 from .linalg import SingularMomentError
 from .simulate import ConfigError, ExperimentConfig, OutlierSpec
@@ -64,13 +66,6 @@ def _ingest_spec_from_args(args):
         log_columns=[_col(c) for c in args.log_columns.split(",")]
         if args.log_columns else [],
     )
-
-
-def _ingest_spec_dict(spec):
-    return {"path": spec.path, "delimiter": spec.delimiter,
-            "header": spec.header, "response": spec.response,
-            "covariates": spec.covariates, "skip_rows": spec.skip_rows,
-            "log_columns": list(spec.log_columns)}
 
 
 def _manifest(command, config, seeds, input_path, outdir, timings, outputs):
@@ -147,21 +142,9 @@ def _cmd_select(args):
     spec = _ingest_spec_from_args(args)
     ds = ingest(spec)
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
-    t0 = time.perf_counter()
-    trace = None
-    if args.method in ("alg1", "valg1"):
-        seed, _ = simulate.select_subdata(x_scaled, args.seed_method,
-                                          args.k, args.K,
-                                          rng_seed=args.seed)
-        if args.method == "alg1":
-            sel, trace = exchange.alg1(x_scaled, seed, args.K,
-                                       args.iterations)
-        else:
-            sel, trace = exchange.valg1(x_scaled, seed, args.K)
-    else:
-        sel, _ = simulate.select_subdata(x_scaled, args.method, args.k,
-                                         args.K, rng_seed=args.seed)
-    seconds = time.perf_counter() - t0
+    sel, trace, seconds = simulate.select(
+        x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
+        args.seed_method)
     eff = metrics.efficiency(x_scaled, sel)
 
     (outdir / "indices.txt").write_text(
@@ -185,7 +168,7 @@ def _cmd_select(args):
             "iteration_accepts": trace.iteration_accepts,
         }
     _write_json(outdir / "report.json", report)
-    config = {"ingest": _ingest_spec_dict(spec), "method": args.method,
+    config = {"ingest": dataclasses.asdict(spec), "method": args.method,
               "k": args.k, "K": args.K, "iterations": args.iterations,
               "seed": args.seed, "seed_method": args.seed_method}
     _finish("select", config, [args.seed], args.input, outdir,
@@ -197,51 +180,52 @@ def _cmd_select(args):
     return EXIT_OK
 
 
-# -------------------------------------------------------------- simulate
+# ------------------------------------------------- simulate, bootstrap, timing
 
-def _load_config(path):
+def _load_json(path):
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: "
-                          f"{exc}") from None
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+        raise ConfigError(f"{path}: JSON root must be an object")
     return raw
 
 
-def _experiment_config(raw):
-    raw = dict(raw)
-    outliers = raw.pop("outliers", None)
-    if outliers is not None:
-        for key in outliers:
-            if key not in ("count", "mean_shift"):
-                raise ConfigError(f"unknown outliers field {key!r}")
-        outliers = OutlierSpec(outliers["count"],
-                               np.asarray(outliers["mean_shift"], float))
-    allowed = {"n", "p", "k", "K", "rho", "repetitions", "alg1_iterations",
-               "methods", "rng_seed", "seed_method", "beta0", "beta1",
-               "sigma2"}
-    unknown = set(raw) - allowed
+def _fields(raw, target, where="config", skip=()):
+    """The arguments of `target` that `raw` sets, defaults filled in.
+
+    Names and defaults come from target's signature: a parameter without
+    a default is required, any other key is an error.  `skip` names
+    parameters a config may not set.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    params = {name: par.default for name, par
+              in inspect.signature(target).parameters.items()
+              if name not in skip}
+    unknown = set(raw) - set(params)
     if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    missing = {"n", "p", "k", "K"} - set(raw)
+        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
+    missing = [name for name, default in params.items()
+               if default is inspect.Parameter.empty and name not in raw]
     if missing:
-        raise ConfigError(f"missing config field(s): {sorted(missing)}")
-    if "methods" in raw:
-        raw["methods"] = tuple(raw["methods"])
-    if raw.get("beta1") is not None:
-        raw["beta1"] = np.asarray(raw["beta1"], dtype=float)
-    return ExperimentConfig(outliers=outliers, **raw).validate()
+        raise ConfigError(f"missing {where} field(s): {missing}")
+    return {name: raw.get(name, default) for name, default in params.items()}
 
 
 def _cmd_simulate(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    raw = _load_config(args.config)
-    cfg = _experiment_config(raw)
+    raw = _load_json(args.config)
+    kw = _fields(raw, ExperimentConfig)
+    if kw["outliers"] is not None:
+        kw["outliers"] = OutlierSpec(
+            **_fields(kw["outliers"], OutlierSpec, "outliers"))
+    kw["methods"] = tuple(kw["methods"])
+    cfg = ExperimentConfig(**kw).validate()
     t0 = time.perf_counter()
     report = simulate.run_experiment(cfg)
     seconds = time.perf_counter() - t0
@@ -253,77 +237,33 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-# -------------------------------------------------------------- bootstrap
-
-def _bootstrap_cfg(raw):
-    allowed = {"input", "B", "method", "k", "K", "iterations",
-               "seed_method", "rng_seed"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    missing = {"input", "B", "method", "k", "K"} - set(raw)
-    if missing:
-        raise ConfigError(f"missing config field(s): {sorted(missing)}")
-    inp = raw["input"]
-    if not isinstance(inp, dict) or "path" not in inp:
-        raise ConfigError("config field 'input' must be an object "
-                          "with at least a 'path'")
-    spec = IngestSpec(
-        path=inp["path"],
-        delimiter=inp.get("delimiter", ","),
-        header=inp.get("header", True),
-        response=inp.get("response"),
-        covariates=inp.get("covariates"),
-        skip_rows=inp.get("skip_rows", 0),
-        log_columns=inp.get("log_columns", []),
-    )
-    return spec, raw
-
-
 def _cmd_bootstrap(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    raw = _load_config(args.config)
-    spec, raw = _bootstrap_cfg(raw)
+    raw = _load_json(args.config)
+    kw = dict(raw)
+    spec = IngestSpec(**_fields(kw.pop("input", None), IngestSpec, "input"))
+    kw = _fields(kw, simulate.bootstrap_mse, skip=("x", "y", "resample"))
     ds = ingest(spec)
     if ds.y is None:
         raise ConfigError("bootstrap requires a response column")
     t0 = time.perf_counter()
-    report = simulate.bootstrap_mse(
-        ds.x, ds.y, raw["B"], raw["method"], raw["k"], raw["K"],
-        rng_seed=raw.get("rng_seed", 0),
-        iterations=raw.get("iterations", 5),
-        seed_method=raw.get("seed_method", "oss"))
+    report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
     seconds = time.perf_counter() - t0
     outputs = _write_report(report, outdir)
-    _finish("bootstrap", raw, [raw.get("rng_seed", 0) + b
-                               for b in range(raw["B"])],
+    _finish("bootstrap", raw, [kw["rng_seed"] + b for b in range(kw["B"])],
             spec.path, outdir, {"total_seconds": seconds}, outputs)
     _print_aggregates(report)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- timing
-
 def _cmd_timing(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    raw = _load_config(args.config)
-    allowed = {"ks", "Ks", "iteration_counts", "n", "p", "rho",
-               "repetitions", "rng_seed", "seed_method"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    missing = {"ks", "Ks", "iteration_counts"} - set(raw)
-    if missing:
-        raise ConfigError(f"missing config field(s): {sorted(missing)}")
+    raw = _load_json(args.config)
+    kw = _fields(raw, simulate.timing_study)
     t0 = time.perf_counter()
-    cells = simulate.timing_study(
-        raw["ks"], raw["Ks"], raw["iteration_counts"],
-        n=raw.get("n", 1000), p=raw.get("p", 7), rho=raw.get("rho", 0.5),
-        repetitions=raw.get("repetitions", 50),
-        rng_seed=raw.get("rng_seed", 0),
-        seed_method=raw.get("seed_method", "oss"))
+    cells = simulate.timing_study(**kw)
     seconds = time.perf_counter() - t0
     # Gains are seed-deterministic and belong in the report; wall-clock
     # means are environment-dependent and go to the manifest.
@@ -333,7 +273,7 @@ def _cmd_timing(args):
     timings = {"total_seconds": seconds,
                "cells": [{"k": c.k, "K": c.K, "iterations": c.iterations,
                           "mean_seconds": c.mean_seconds} for c in cells]}
-    _finish("timing", raw, [raw.get("rng_seed", 0)], None, outdir,
+    _finish("timing", raw, [kw["rng_seed"]], None, outdir,
             timings, ["report.json"])
     print(f"{'k':>4} {'K':>4} {'iters':>6} {'mean_s':>10} {'V gain %':>10}")
     for c in cells:
@@ -418,7 +358,7 @@ def _cmd_hull(args):
                 _svg_hulls(full_hull, sub_hull, full_pts))
             outputs.append(name)
     _write_json(outdir / "hulls.json", {"pairs": results})
-    config = {"ingest": _ingest_spec_dict(spec),
+    config = {"ingest": dataclasses.asdict(spec),
               "selection": args.selection, "pairs": list(args.pairs),
               "svg": args.svg}
     _finish("hull", config, [], args.input, outdir, {}, outputs)
@@ -437,9 +377,9 @@ def replay(manifest_path, out):
     Same inputs and seeds produce byte-identical reports; compare the
     output checksums in the two manifests to verify a run.
     """
-    manifest = json.loads(Path(manifest_path).read_text())
-    command = manifest["command"]
-    cfg = manifest["config"]
+    manifest = _load_json(manifest_path)
+    command = manifest.get("command")
+    cfg = manifest.get("config")
     if command in ("simulate", "bootstrap", "timing"):
         cfg_path = Path(out)
         cfg_path.mkdir(parents=True, exist_ok=True)
@@ -539,6 +479,11 @@ def build_parser():
                       help="also emit vector drawings")
     hull.add_argument("--out", required=True)
     hull.set_defaults(func=_cmd_hull)
+
+    rep = subs.add_parser("replay", help="re-run a manifest's command")
+    rep.add_argument("manifest", help="manifest.json of an earlier run")
+    rep.add_argument("out", help="output directory for the re-run")
+    rep.set_defaults(func=lambda args: replay(args.manifest, args.out))
     return parser
 
 

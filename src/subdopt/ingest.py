@@ -49,7 +49,8 @@ def ingest(spec):
     """Read a delimited file into covariates and an optional response.
 
     Blank lines are rejected (and counted); a wrong field count or a
-    non-numeric cell is a hard error naming the offending location.
+    non-numeric or non-finite cell is a hard error naming the offending
+    location.
     """
     rows = []
     rejected = 0
@@ -110,6 +111,13 @@ def ingest(spec):
                 raise IngestError(
                     f"{spec.path}:{line_no}: non-numeric value {cell!r} "
                     f"in column {names[j]!r}") from None
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, jj = np.argwhere(bad)[0]
+        line_no, row = rows[i]
+        raise IngestError(
+            f"{spec.path}:{line_no}: non-finite value "
+            f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
     x = data[:, :len(cov_idx)]
     y = data[:, -1] if resp_idx is not None else None
 

@@ -123,7 +123,7 @@ def _needs_scaling(x):
     return x.min() < -1.0 - 1e-12 or x.max() > 1.0 + 1e-12
 
 
-def oss_seed(x, k, prune_fraction=0.0):
+def oss_seed(x, k):
     """OSS: corner-seeking, sign-dissimilar greedy with candidate elimination.
 
     Orthogonal subsampling (Wang, Elmstedt, Wong & Xu 2021).  The first
@@ -139,10 +139,6 @@ def oss_seed(x, k, prune_fraction=0.0):
     used here.  Losses are only updated for live rows, which is where
     the O(np log k) cost stated by the OSS paper comes from.  Ties in the loss, both at the elimination boundary
     and for the next pick, go to the lower row index.
-
-    With prune_fraction in (0, 1), that fraction of the live rows with the
-    smallest norms is dropped as well after each elimination (again
-    keeping at least k - i), trading exactness for speed.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -165,12 +161,6 @@ def oss_seed(x, k, prune_fraction=0.0):
         if keep < ids.size:
             live = np.sort(_smallest(loss, np.arange(ids.size), keep))
             ids, loss = ids[live], loss[live]
-        if prune_fraction > 0.0:
-            drop = min(int(prune_fraction * ids.size), ids.size - (k - i))
-            if drop > 0:
-                gone = _smallest(norms2[ids], np.arange(ids.size), drop)
-                live = np.delete(np.arange(ids.size), gone)
-                ids, loss = ids[live], loss[live]
         j = int(np.argmin(loss))
         chosen[i] = ids[j]
         ids, loss = np.delete(ids, j), np.delete(loss, j)

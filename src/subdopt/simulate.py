@@ -211,64 +211,94 @@ def gen_response(x, params, rng_seed):
     return params.beta0 + x @ params.beta1 + eps
 
 
-def select_subdata(x_scaled, method, k, K, iterations=5, rng_seed=0,
-                   seed_method="oss"):
-    """Dispatch one selection method; returns (Selection, seconds).
-
-    alg1/valg1 are seeded from a `seed_method` selection computed first;
-    its time is included, matching how the exchange is deployed.
-    """
-    t0 = time.perf_counter()
-    if method == "uniform":
-        sel = seeding.uniform_seed(x_scaled, k, rng_seed)
-    elif method == "iboss":
-        sel = seeding.iboss_seed(x_scaled, k)
-    elif method == "oss":
-        sel = seeding.oss_seed(x_scaled, k)
-    elif method in ("alg1", "valg1"):
-        seed, _ = select_subdata(x_scaled, seed_method, k, K,
-                                 rng_seed=rng_seed)
-        if method == "alg1":
-            sel, _ = exchange.alg1(x_scaled, seed, K, iterations)
-        else:
-            sel, _ = exchange.valg1(x_scaled, seed, K)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return sel, time.perf_counter() - t0
+def _seed(x_scaled, name, k, rng_seed):
+    if name == "uniform":
+        return seeding.uniform_seed(x_scaled, k, rng_seed)
+    if name == "iboss":
+        return seeding.iboss_seed(x_scaled, k)
+    if name == "oss":
+        return seeding.oss_seed(x_scaled, k)
+    raise ConfigError(f"unknown method {name!r}")
 
 
-def _run_one(x, y, x_scaled, method, cfg, rep_seed, rep, params,
-             seed_cache, keep_selection=False):
-    try:
+def _cached(cache, key, build):
+    """(value, seconds to build it); built once per cache."""
+    if key not in cache:
         t0 = time.perf_counter()
-        if method in ("alg1", "valg1"):
-            seed = seed_cache["seed_sel"]
-            if method == "alg1":
-                sel, _ = exchange.alg1(x_scaled, seed, cfg.K,
-                                       cfg.alg1_iterations)
-            else:
-                sel, _ = exchange.valg1(x_scaled, seed, cfg.K)
-            seconds = time.perf_counter() - t0 + seed_cache["seed_seconds"]
-        else:
-            sel, seconds = select_subdata(x_scaled, method, cfg.k, cfg.K,
-                                          cfg.alg1_iterations, rep_seed)
-        beta, slopes = ols_fit(x, y, sel)
-        b0 = adjusted_intercept(y.mean(), x.mean(axis=0), slopes)
-        msr = metrics.mse(np.concatenate(([b0], slopes)), params.beta)
-        eff = metrics.efficiency(x_scaled, sel)
+        value = build()
+        cache[key] = value, time.perf_counter() - t0
+    return cache[key]
+
+
+def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
+           seed_method="oss", cache=None):
+    """One selection; returns (Selection, ExchangeTrace or None, seconds).
+
+    alg1/valg1 exchange against the candidate pool of a `seed_method`
+    seed; the seed and pool times are included, matching how the
+    exchange is deployed.  `cache`, a dict kept for one dataset and one
+    (k, K, rng_seed), builds each seed and the pool once across calls.
+    """
+    n = x_scaled.shape[0]
+    exchanging = method in ("alg1", "valg1")
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must be in [1, n={n}], got {k}")
+    if K < 1:
+        raise ConfigError(f"K must be >= 1, got {K}")
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if exchanging and k == n:
+        raise ConfigError(f"k = n = {n} leaves no rows for the exchange "
+                          f"pool")
+    cache = {} if cache is None else cache
+    name = seed_method if exchanging else method
+    seed, seconds = _cached(cache, name,
+                            lambda: _seed(x_scaled, name, k, rng_seed))
+    if not exchanging:
+        return seed, None, seconds
+    pool, pool_seconds = _cached(
+        cache, "pool", lambda: exchange.candidate_pool(x_scaled, seed, K))
+    t0 = time.perf_counter()
+    if method == "alg1":
+        sel, trace = exchange.alg1(x_scaled, seed, K, iterations, pool=pool)
+    else:
+        sel, trace = exchange.valg1(x_scaled, seed, K, pool=pool)
+    return sel, trace, seconds + pool_seconds + time.perf_counter() - t0
+
+
+def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
+    """Every method of cfg on one dataset: select, OLS fit, score.
+
+    The methods share one cache, so each seed and the pool are built once.
+    """
+    head = (rep, rep_seed, cfg.k, cfg.K, cfg.alg1_iterations)
+    try:
+        x_scaled, _ = seeding.scale_to_unit_cube(x)
+    except seeding.ConstantColumnError as exc:
+        return [RunRecord(m, *head, None, None, 0.0, error=str(exc))
+                for m in cfg.methods]
+    records, cache = [], {}
+    for method in cfg.methods:
+        try:
+            sel, _, seconds = select(x_scaled, method, cfg.k, cfg.K,
+                                     cfg.alg1_iterations, rep_seed,
+                                     cfg.seed_method, cache)
+            _, slopes = ols_fit(x, y, sel)
+            b0 = adjusted_intercept(y.mean(), x.mean(axis=0), slopes)
+            msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
+            eff = metrics.efficiency(x_scaled, sel)
+        except (SingularMomentError, np.linalg.LinAlgError) as exc:
+            records.append(RunRecord(method, *head, None, None, 0.0,
+                                     error=str(exc)))
+            continue
         n_out = 0
         if cfg.outliers is not None and cfg.outliers.count > 0:
             n_out = int(np.count_nonzero(
                 sel.indices >= cfg.n - cfg.outliers.count))
-        return RunRecord(method, rep, rep_seed, cfg.k, cfg.K,
-                         cfg.alg1_iterations, msr, eff, seconds,
-                         sel.indices.copy() if keep_selection else None,
-                         n_out)
-    except (SingularMomentError, seeding.ConstantColumnError,
-            np.linalg.LinAlgError) as exc:
-        return RunRecord(method, rep, rep_seed, cfg.k, cfg.K,
-                         cfg.alg1_iterations, None, None, 0.0,
-                         error=str(exc))
+        records.append(RunRecord(
+            method, *head, msr, eff, seconds,
+            sel.indices.copy() if keep_selections else None, n_out))
+    return records
 
 
 def run_experiment(config, keep_selections=False):
@@ -285,17 +315,8 @@ def run_experiment(config, keep_selections=False):
         else:
             x = gen_mvn_equicorr(cfg.n, cfg.p, cfg.rho, rep_seed)
         y = gen_response(x, params, rep_seed + 10 ** 9)
-        x_scaled, _ = seeding.scale_to_unit_cube(x)
-        seed_cache = {}
-        if any(m in cfg.methods for m in ("alg1", "valg1")):
-            seed_sel, secs = select_subdata(x_scaled, cfg.seed_method,
-                                            cfg.k, cfg.K,
-                                            rng_seed=rep_seed)
-            seed_cache = {"seed_sel": seed_sel, "seed_seconds": secs}
-        for method in cfg.methods:
-            report.records.append(
-                _run_one(x, y, x_scaled, method, cfg, rep_seed, rep,
-                         params, seed_cache, keep_selections))
+        report.records += _run_one(x, y, cfg, rep, rep_seed, params.beta,
+                                   keep_selections)
     return report
 
 
@@ -320,27 +341,11 @@ def bootstrap_mse(x, y, B, method, k, K, rng_seed=0, iterations=5,
     report = ExperimentReport(cfg)
     for b in range(B):
         rep_seed = rng_seed + b
+        xb, yb = x, y
         if resample:
             rows = np.random.default_rng(rep_seed).integers(0, n, size=n)
             xb, yb = x[rows], y[rows]
-        else:
-            xb, yb = x, y
-        try:
-            xb_scaled, _ = seeding.scale_to_unit_cube(xb)
-            sel, seconds = select_subdata(xb_scaled, method, k, K,
-                                          iterations, rep_seed,
-                                          seed_method)
-            beta, slopes = ols_fit(xb, yb, sel)
-            b0 = adjusted_intercept(yb.mean(), xb.mean(axis=0), slopes)
-            msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
-            eff = metrics.efficiency(xb_scaled, sel)
-            report.records.append(RunRecord(
-                method, b, rep_seed, k, K, iterations, msr, eff, seconds))
-        except (SingularMomentError, seeding.ConstantColumnError,
-                np.linalg.LinAlgError) as exc:
-            report.records.append(RunRecord(
-                method, b, rep_seed, k, K, iterations, None, None, 0.0,
-                error=str(exc)))
+        report.records += _run_one(xb, yb, cfg, b, rep_seed, beta_ref)
     return report
 
 
@@ -369,8 +374,8 @@ def timing_study(ks, Ks, iteration_counts, n=1000, p=7, rho=0.5,
     cells = []
     for k in ks:
         for K in Ks:
-            seeds = [select_subdata(xs, seed_method, k, K,
-                                    rng_seed=rng_seed + rep)[0]
+            seeds = [select(xs, seed_method, k, K,
+                            rng_seed=rng_seed + rep)[0]
                      for rep, xs in enumerate(datasets)]
             for iters in iteration_counts:
                 secs = np.empty(repetitions)

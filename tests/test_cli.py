@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,14 @@ class TestIngest:
         path = tmp_path / "bad.csv"
         path.write_text("u,v\n1.0,2.0\n1.5,oops\n")
         with pytest.raises(IngestError, match=r"bad\.csv:3.*'oops'.*'v'"):
+            ingest(IngestSpec(str(path)))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"u,v\n1.0,2.0\n1.5,2.5\n{cell},3.0\n")
+        with pytest.raises(IngestError,
+                           match=rf"bad\.csv:4.*non-finite.*'{cell}'.*'u'"):
             ingest(IngestSpec(str(path)))
 
     def test_missing_column(self, csv_file):
@@ -121,12 +131,39 @@ class TestSelectCommand:
                        "--out", str(tmp_path / "o")])
         assert rc != 0
 
+    @pytest.mark.parametrize("args", [
+        ["--method", "iboss", "--k", "0"],
+        ["--method", "alg1", "--k", "0"],
+        ["--method", "oss", "--k", "121"],
+        ["--method", "alg1", "--k", "10", "--K", "0"],
+        ["--method", "valg1", "--k", "10", "--K", "-3"],
+        ["--method", "alg1", "--k", "10", "--iterations", "0"],
+        ["--method", "alg1", "--k", "120"],
+        ["--method", "valg1", "--k", "120"],
+    ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
+            "iterations0", "alg1-k-n", "valg1-k-n"])
+    def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
+                                         args):
+        rc = cli.main(["select", "--input", str(csv_file),
+                       "--response", "resp", "--out", str(tmp_path / "o")]
+                      + args)
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_cell_is_config_error(self, csv_file, tmp_path):
+        lines = csv_file.read_text().splitlines()
+        lines[5] = "0.1,nan,0.2,1.0"
+        csv_file.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["select", "--input", str(csv_file), "--method", "alg1",
+                       "--k", "8", "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_INGEST
+
     def test_replay_identical(self, csv_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         cli.main(["select", "--input", str(csv_file), "--response", "resp",
                   "--method", "alg1", "--k", "10", "--K", "4",
                   "--seed", "3", "--out", str(out1)])
-        rc = cli.replay(out1 / "manifest.json", out2)
+        rc = cli.main(["replay", str(out1 / "manifest.json"), str(out2)])
         assert rc == 0
         assert (out1 / "report.json").read_bytes() \
             == (out2 / "report.json").read_bytes()
@@ -280,3 +317,29 @@ class TestHullCommand:
                        "--response", "resp", "--selection", str(sel),
                        "--pairs", "a,zzz", "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_INGEST
+
+
+class TestReplayCommand:
+    @pytest.mark.parametrize("text", [
+        None, "{not json", "[1, 2]", '{"command": "frobnicate"}',
+    ], ids=["missing", "not-json", "not-object", "unknown-command"])
+    def test_bad_manifest_is_config_error(self, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        rc = cli.main(["replay", str(manifest), str(tmp_path / "o")])
+        assert rc == cli.EXIT_INGEST
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("doc", ["README.md", "demos/README.md"])
+def test_documented_commands_exist(doc):
+    text = (ROOT / doc).read_text()
+    commands = set(re.findall(r"(?:^|`)subdopt +([a-z]+)", text, re.M))
+    assert commands
+    for command in sorted(commands):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0, f"{doc}: subdopt {command}"

@@ -152,12 +152,6 @@ class TestOssSeed:
         sel = seeding.oss_seed(x, 8)
         assert set(sel.indices) == set(range(40, 48))
 
-    def test_pruning_keeps_cardinality(self):
-        x = np.random.default_rng(10).uniform(-1, 1, (500, 3))
-        sel = seeding.oss_seed(x, 40, prune_fraction=0.3)
-        assert len(sel) == 40
-        assert np.unique(sel.indices).size == 40
-
 
 def oss_loop(x, k):
     """OSS with candidate elimination, transcribed as plain loops.
