@@ -8,9 +8,11 @@ Two variants share one engine:
 * scan-all: never break out of the scan, committing every improving swap,
   so each slot ends at the best candidate seen; a single pass suffices.
 
-Trial swaps are scored against the current Cholesky factor in O(p^2) per
-candidate (batched per slot), and accepted swaps commit via rank-one
-factor updates.
+A slot scan scores every pool row at once by Fedorov's determinant ratio
+a(1 + c) + d^2, computed against M = Q^{-1} and the cached pool quadratic
+forms c_j = z_j^T M z_j (Fedorov 1972; Cook & Nachtsheim 1980).  A slot
+that accepts swaps rebuilds Q, M and c from the new selected rows, so no
+state is carried from one commit to the next and none can drift.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .linalg import (DowndateError, _chol_downdate, _chol_update,
-                     as_indices, augment, build_moment)
+from .linalg import SingularMomentError, as_indices, augment, build_moment
 from .seeding import Selection
 
 #: Relative strict-improvement threshold on the determinant ratio,
@@ -34,7 +34,6 @@ REL_IMPROVEMENT = 1e-12
 @dataclass
 class CandidatePool:
     indices: np.ndarray      # distinct row indices, in construction order
-    capacity_K: int
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.intp)
@@ -60,15 +59,9 @@ class ExchangeTrace:
     initial_log_v: float = 0.0
     final_log_v: float = 0.0
     accepted_swaps: int = 0
+    #: slots whose accepted chain gave a singular selection and was dropped
+    slots_skipped: int = 0
     seconds: float = 0.0
-
-    @property
-    def initial_v(self):
-        return math.exp(self.initial_log_v)
-
-    @property
-    def final_v(self):
-        return math.exp(self.final_log_v)
 
 
 def candidate_pool(x, sel, K):
@@ -101,7 +94,7 @@ def candidate_pool(x, sel, K):
     stacked = np.concatenate(parts)
     _, first = np.unique(stacked, return_index=True)
     pool = stacked[np.sort(first)]
-    return CandidatePool(pool, K)
+    return CandidatePool(pool)
 
 
 def _log_v(state, k):
@@ -109,53 +102,38 @@ def _log_v(state, k):
     return state.log_det - state.dim * math.log(k)
 
 
-def _commit(state, z_out, z_in):
-    """Apply q - z_out z_out^T + z_in z_in^T to the state in place.
+def _scan_state(x, idx, F):
+    """Everything a slot scan reads, built from the selected and pool rows.
 
-    Adds first so the factor stays positive definite mid-step; falls back
-    to a full refactorization if the downdate is numerically marginal.
+    Returns the moment state of `idx`, M = Q^{-1}, the augmented selected
+    and pool rows, and the pool quadratic forms c_j = z_j^T M z_j.
     """
-    q_new = state.q + np.outer(z_in, z_in) - np.outer(z_out, z_out)
-    backup = state.chol.copy()
-    try:
-        _chol_update(state.chol, z_in)
-        _chol_downdate(state.chol, z_out)
-    except DowndateError:
-        try:
-            state.chol = np.linalg.cholesky(q_new)
-        except np.linalg.LinAlgError:
-            state.chol = backup
-            raise
-    state.q = q_new
-    state.log_det = 2.0 * float(np.sum(np.log(np.diag(state.chol))))
+    state = build_moment(x, idx)
+    M = np.linalg.inv(state.q)
+    ZF = augment(x[F])
+    c = np.einsum("ij,ij->i", ZF @ M, ZF)
+    return state, M, augment(x[idx]), ZF, c
 
 
-def _exchange(x, seed, K, iterations, first_improvement, pool=None,
-              early_stop=False):
+def _exchange(x, seed, K, iterations, first_improvement, pool=None):
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float)
     idx = as_indices(seed).copy()
     k = idx.size
-    state = build_moment(x, idx)
     if pool is None:
         pool = candidate_pool(x, idx, K)
     F = pool.indices.copy()
-    Z = augment(x)
-    ZF = Z[F]
+    state, M, ZS, ZF, c = _scan_state(x, idx, F)
     trace = ExchangeTrace()
-    trace.initial_log_v = _log_v(state, k)
-    log_v = trace.initial_log_v
+    trace.initial_log_v = log_v = _log_v(state, k)
 
     for it in range(iterations):
         accepts = 0
         for i in range(k):
-            zo = Z[idx[i]]
-            L = state.chol
-            u = solve_triangular(L, zo, lower=True)
-            a = 1.0 - u @ u
-            W = solve_triangular(L, ZF.T, lower=True)
-            c = np.einsum("ij,ij->j", W, W)
-            d = u @ W
+            zo = ZS[i]
+            u = M @ zo
+            a = 1.0 - zo @ u
+            d = ZF @ u
             # determinant ratio of swapping slot i's occupant for each
             # candidate; scores share the fixed base Q - zo zo^T, so they
             # are comparable across the whole scan.
@@ -172,46 +150,36 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None,
                 continue
             # Chain of committed swaps: each accepted candidate displaces
             # the current occupant into its own pool position.
-            occupant = idx[i]
-            best = 1.0
-            chain = []
+            new_idx, new_F = idx.copy(), F.copy()
             for w in accepted:
-                chain.append((w, occupant, F[w], best, score[w]))
-                occupant, best = F[w], score[w]
+                new_idx[i], new_F[w] = new_F[w], new_idx[i]
             try:
-                _commit(state, zo, Z[occupant])
-            except np.linalg.LinAlgError:
-                continue  # numerically degenerate; leave the slot alone
-            for w, prev_occ, cand, s_before, s_after in chain:
-                lv_before = log_v + math.log(s_before)
-                lv_after = log_v + math.log(s_after)
+                state, M, ZS, ZF, c = _scan_state(x, new_idx, new_F)
+            except SingularMomentError:
+                trace.slots_skipped += 1   # leave the slot alone
+                continue
+            best = 1.0
+            for w in accepted:
                 trace.records.append(SwapRecord(
-                    it, i, w, True, lv_before, lv_after))
-                F[w] = prev_occ
-                ZF[w] = Z[prev_occ]
-            idx[i] = occupant
+                    it, i, w, True, log_v + math.log(best),
+                    log_v + math.log(score[w])))
+                best = score[w]
+            idx, F = new_idx, new_F
             log_v = _log_v(state, k)
-            accepts += len(chain)
+            accepts += len(accepted)
         trace.iteration_accepts.append(accepts)
         trace.accepted_swaps += accepts
-        if accepts == 0 and early_stop:
-            break
     trace.final_log_v = log_v
     trace.seconds = time.perf_counter() - t0
     return Selection(idx, seed.source if hasattr(seed, "source") else
                      "custom"), trace
 
 
-def alg1(x, seed, K, iterations=5, early_stop=False, pool=None):
-    """First-improvement exchange, Step 3 repeated `iterations` times.
-
-    With early_stop=True a pass that commits nothing terminates the run
-    (the remaining passes would be identical no-ops).
-    """
+def alg1(x, seed, K, iterations=5, pool=None):
+    """First-improvement exchange, Step 3 repeated `iterations` times."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    sel, trace = _exchange(x, seed, K, iterations, True, pool=pool,
-                           early_stop=early_stop)
+    sel, trace = _exchange(x, seed, K, iterations, True, pool=pool)
     sel.source = "alg1"
     return sel, trace
 

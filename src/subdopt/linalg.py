@@ -1,9 +1,10 @@
 """Dense SPD moment-matrix machinery.
 
 Moment matrices here are sums Q = sum_i z_i z_i^T over selected rows,
-where z_i = (1, x_i^T)^T.  The Cholesky factor is carried alongside Q so
-that determinants, trial swaps and commits all run in O(p^2) instead of
-O(p^3) refactorizations.
+where z_i = (1, x_i^T)^T.  `build_moment` assembles Q from the rows and
+factors it once; determinants, single-swap log-det changes and
+trace(Q^{-1}) are read off that Cholesky factor.  Nothing here updates
+a state in place: a changed selection is a new `build_moment`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from scipy.linalg import solve_triangular
 
 class SingularMomentError(Exception):
     """The selected rows do not span: Cholesky factorization failed."""
-
-
-class DowndateError(Exception):
-    """Rank-one downdate would break positive definiteness."""
 
 
 def as_indices(sel):
@@ -40,11 +37,6 @@ class MomentState:
     q: np.ndarray        # (dim, dim) symmetric
     chol: np.ndarray     # lower triangular, q = chol @ chol.T
     log_det: float
-    count: int
-
-    def copy(self):
-        return MomentState(self.dim, self.q.copy(), self.chol.copy(),
-                           self.log_det, self.count)
 
 
 def build_moment(x, sel):
@@ -71,97 +63,31 @@ def build_moment(x, sel):
         raise SingularMomentError(
             f"moment matrix of {idx.size} rows is numerically singular")
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return MomentState(q.shape[0], q, chol, log_det, int(idx.size))
-
-
-def _chol_update(L, v):
-    """In-place rank-one update of a lower Cholesky factor: LL^T + vv^T."""
-    v = np.array(v, dtype=float)
-    n = v.size
-    for j in range(n):
-        r = math.hypot(L[j, j], v[j])
-        c = r / L[j, j]
-        s = v[j] / L[j, j]
-        L[j, j] = r
-        if j + 1 < n:
-            L[j + 1:, j] = (L[j + 1:, j] + s * v[j + 1:]) / c
-            v[j + 1:] = c * v[j + 1:] - s * L[j + 1:, j]
-
-
-def _chol_downdate(L, v):
-    """In-place rank-one downdate LL^T - vv^T via hyperbolic rotations.
-
-    Raises DowndateError when the result would not be positive definite.
-    """
-    v = np.array(v, dtype=float)
-    n = v.size
-    for j in range(n):
-        d = (L[j, j] - v[j]) * (L[j, j] + v[j])
-        if d <= 0.0:
-            raise DowndateError("downdate breaks positive definiteness")
-        r = math.sqrt(d)
-        c = r / L[j, j]
-        s = v[j] / L[j, j]
-        L[j, j] = r
-        if j + 1 < n:
-            L[j + 1:, j] = (L[j + 1:, j] - s * v[j + 1:]) / c
-            v[j + 1:] = c * v[j + 1:] - s * L[j + 1:, j]
-
-
-def rank_one_update(state, z, direction="add"):
-    """Return a new state with q +/- zz^T, updating the factor in O(p^2)."""
-    z = np.asarray(z, dtype=float)
-    if z.size != state.dim:
-        raise ValueError("row dimension does not match state")
-    new = state.copy()
-    if direction == "add":
-        _chol_update(new.chol, z)
-        new.q += np.outer(z, z)
-        new.count += 1
-    elif direction == "remove":
-        _chol_downdate(new.chol, z)
-        new.q -= np.outer(z, z)
-        new.count -= 1
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    new.log_det = 2.0 * float(np.sum(np.log(np.diag(new.chol))))
-    return new
-
-
-def swap_ratio(state, z_out, z_in):
-    """det(Q - z_out z_out^T + z_in z_in^T) / det(Q), by two lemma steps.
-
-    Returns a non-positive value when the swap is inadmissible.  The
-    composition is valid even when the intermediate (after removal) is
-    singular, since the determinant identity is polynomial.
-    """
-    L = state.chol
-    u = solve_triangular(L, np.asarray(z_out, dtype=float), lower=True)
-    a = 1.0 - u @ u
-    if a < -1e-9:
-        # z_out is not contained in the state; removal is illegitimate.
-        return -np.inf
-    v = solve_triangular(L, np.asarray(z_in, dtype=float), lower=True)
-    c = v @ v
-    d = u @ v
-    return a * (1.0 + c) + d * d
+    return MomentState(q.shape[0], q, chol, log_det)
 
 
 def swap_delta_logdet(state, z_out, z_in):
     """log det after swapping z_out for z_in, minus log det before.
 
-    Inadmissible swaps (singular result) come back as -inf so callers can
-    reject them uniformly.  The state is not mutated.
+    The determinant ratio a(1 + c) + d^2 comes from two lemma steps, and
+    stays valid when the intermediate (after removal) is singular, since
+    the determinant identity is polynomial.  Inadmissible swaps (z_out
+    not in the state, or a singular result) come back as -inf so callers
+    can reject them uniformly.  The state is not mutated.
     """
-    ratio = swap_ratio(state, z_out, z_in)
+    L = state.chol
+    u = solve_triangular(L, np.asarray(z_out, dtype=float), lower=True)
+    a = 1.0 - u @ u
+    if a < -1e-9:
+        return -np.inf
+    v = solve_triangular(L, np.asarray(z_in, dtype=float), lower=True)
+    c = v @ v
+    d = u @ v
+    ratio = a * (1.0 + c) + d * d
     # Ratios at rounding-noise scale are singular results in disguise.
     if not ratio > 1e-12:
         return -np.inf
     return math.log(ratio)
-
-
-def log_det(state):
-    return state.log_det
 
 
 def trace_inverse(state):

@@ -8,8 +8,9 @@ cannot change the results.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -68,6 +69,18 @@ class ExperimentConfig:
     sigma2: float = 3.0
 
     def validate(self):
+        kinds = {"int": numbers.Integral, "float": numbers.Real}
+        for obj in [o for o in (self, self.outliers) if o is not None]:
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if f.type in kinds and not isinstance(value, kinds[f.type]):
+                    raise ConfigError(
+                        f"{f.name} must be {f.type}, got {value!r}")
+        shift = None if self.outliers is None else self.outliers.mean_shift
+        for name, vec in (("beta1", self.beta1),
+                          ("outliers.mean_shift", shift)):
+            if vec is not None and np.shape(vec) != (self.p,):
+                raise ConfigError(f"{name} must have p={self.p} entries")
         if self.k > self.n:
             raise ConfigError(f"k={self.k} exceeds n={self.n}")
         if self.K < 1:
@@ -365,8 +378,13 @@ def timing_study(ks, Ks, iteration_counts, n=1000, p=7, rho=0.5,
     Every cell re-runs the exchange from the same per-repetition data and
     seed selection, so timings across iteration counts are comparable.
     """
-    if not (ks and Ks and iteration_counts):
-        raise ConfigError("timing grid must be nonempty")
+    if not all(isinstance(g, (list, tuple)) and g
+               for g in (ks, Ks, iteration_counts)):
+        raise ConfigError("timing grid must be nonempty lists")
+    if not all(isinstance(v, numbers.Integral) and v >= 1
+               for v in (*ks, *Ks, *iteration_counts, n, p, repetitions)):
+        raise ConfigError("ks, Ks, iteration_counts, n, p and repetitions "
+                          "must be integers >= 1")
     datasets = []
     for rep in range(repetitions):
         x = gen_mvn_equicorr(n, p, rho, rng_seed + rep)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -201,12 +202,6 @@ class TestSimulateCommand:
                         "seed"):
                 assert key in rec
 
-    def test_empty_methods_rejected(self, tmp_path):
-        rc = cli.main(["simulate", "--config",
-                       str(self.config(tmp_path, methods=[])),
-                       "--out", str(tmp_path / "o")])
-        assert rc == cli.EXIT_INGEST
-
     def test_unknown_field_named(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config",
                        str(self.config(tmp_path, bogus=1)),
@@ -279,6 +274,34 @@ class TestTimingCommand:
             == (out2 / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("command, change", [
+    ("simulate", {"methods": []}),
+    ("simulate", {"n": "1000"}),
+    ("simulate", {"beta1": [1.0, 1.0, 1.0]}),
+    ("simulate", {"outliers": {"count": 5, "mean_shift": [5.0]}}),
+    ("simulate", {"outliers": {"count": "5", "mean_shift": [5.0, 0.0]}}),
+    ("timing", {"iteration_counts": [0, 1]}),
+    ("timing", {"ks": [0]}),
+    ("timing", {"Ks": [0]}),
+    ("timing", {"n": "120"}),
+    ("timing", {"ks": 8}),
+], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
+        "simulate-mean-shift-length", "simulate-count-string",
+        "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
+        "timing-ks-not-list"])
+def test_bad_config_is_config_error(tmp_path, capsys, command, change):
+    base = {"simulate": dict(n=200, p=2, k=16, K=4, repetitions=2,
+                             methods=["uniform", "valg1"]),
+            "timing": dict(ks=[8], Ks=[4], iteration_counts=[1, 2], n=120,
+                           p=2, repetitions=2)}[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **change}))
+    rc = cli.main([command, "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INGEST
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestHullCommand:
     def test_pairs_and_containment(self, csv_file, tmp_path):
         sel_out = tmp_path / "sel"
@@ -343,3 +366,15 @@ def test_documented_commands_exist(doc):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0, f"{doc}: subdopt {command}"
+
+
+def test_demo_outputs_replay_to_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)   # the manifests record repo-relative paths
+    for demo in ("select", "hull"):
+        manifest = ROOT / "demos" / "output" / demo / "manifest.json"
+        rc = cli.main(["replay", str(manifest), str(tmp_path / demo)])
+        assert rc == 0
+        for name, digest in json.loads(manifest.read_text())[
+                "outputs"].items():
+            data = (tmp_path / demo / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (demo, name)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from subdopt import exchange, linalg, seeding
+from subdopt import exchange, linalg, metrics, seeding, simulate
 
 
 def gen_var(x, idx):
@@ -66,8 +66,8 @@ class TestAlg1:
         x, seed = self.hand_instance()
         sel, trace = exchange.alg1(x, seed, 2, iterations=1)
         assert set(sel.indices) == {2, 3}
-        assert trace.initial_v == pytest.approx(0.0025)
-        assert trace.final_v == pytest.approx(25.0)
+        assert trace.initial_log_v == pytest.approx(math.log(0.0025))
+        assert trace.final_log_v == pytest.approx(math.log(25.0))
         assert trace.accepted_swaps == 2
         # slot 0 accepted pool position 0 (-5); slot 1 rejected the
         # displaced 0.1 and accepted pool position 1 (5)
@@ -89,10 +89,23 @@ class TestAlg1:
         assert trace.accepted_swaps == 0
         np.testing.assert_array_equal(sel.indices, [0, 1])
 
-    def test_early_stop(self):
+    def test_singular_rebuild_skips_slot(self, monkeypatch):
         x, seed = self.hand_instance()
-        _, trace = exchange.alg1(x, seed, 2, iterations=5, early_stop=True)
-        assert trace.iteration_accepts == [2, 0]
+        calls = []
+
+        def flaky(x, sel):
+            calls.append(sel)
+            if len(calls) == 2:   # the rebuild after slot 0's swap
+                raise linalg.SingularMomentError("injected")
+            return linalg.build_moment(x, sel)
+
+        monkeypatch.setattr(exchange, "build_moment", flaky)
+        sel, trace = exchange.alg1(x, seed, 2, iterations=1)
+        assert trace.slots_skipped == 1
+        # slot 0 kept 0.1; slot 1 then swapped 0.2 for -5
+        assert list(sel.indices) == [0, 2]
+        assert trace.accepted_swaps == 1
+        assert [(r.slot, r.pool_pos) for r in trace.records] == [(1, 0)]
 
     def test_never_degrades(self):
         rng = np.random.default_rng(1)
@@ -141,7 +154,7 @@ class TestValg1:
         x = np.array([0.1, 0.2, -5.0, 5.0, 0.3]).reshape(-1, 1)
         sel, trace = exchange.valg1(x, seeding.Selection([0, 1]), 2)
         assert set(sel.indices) == {2, 3}
-        assert trace.final_v == pytest.approx(25.0)
+        assert trace.final_log_v == pytest.approx(math.log(25.0))
 
     def test_per_slot_argmax_oracle(self):
         rng = np.random.default_rng(5)
@@ -196,3 +209,17 @@ class TestBoundedOptimality:
                          for c in itertools.combinations(range(n), k))
             assert v_seed <= v_alg * (1 + 1e-9)
             assert v_alg <= v_best * (1 + 1e-9)
+
+
+class TestExactState:
+    @pytest.mark.parametrize("method", ["alg1", "valg1"])
+    def test_final_log_v_equals_rebuild(self, method):
+        # Desk size: hundreds of swaps.  The reported log V must be the
+        # rebuilt selection's value bit for bit, with no drift.
+        x = simulate.gen_mvn_equicorr(10_000, 10, 0.5, 4)
+        xs, _ = seeding.scale_to_unit_cube(x)
+        seed = seeding.oss_seed(xs, 100)
+        sel, trace = getattr(exchange, method)(xs, seed, 25)
+        assert trace.accepted_swaps > 300
+        eff = metrics.efficiency(xs, sel)
+        assert trace.final_log_v == eff.log_det_q - 11 * math.log(100)
