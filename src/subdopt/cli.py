@@ -1,10 +1,13 @@
 """Command-line surface: select, simulate, bootstrap, timing, hull, replay.
 
-Every command writes a run manifest (tool version, resolved config, rng
-seeds, input checksum, wall-clock timings, output checksums) next to its
-outputs.  Reports themselves never contain wall-clock times, so a replay
-from the manifest reproduces them byte for byte; timings live in the
-manifest only.
+This module is where outside input is checked.  `main` parses argv and
+runs every command the same way: it creates `--out`, runs the command and
+writes a manifest next to the outputs (tool version, the argv as given,
+the loaded config JSON of a `--config` command, rng seeds, input checksum,
+wall-clock timings, output checksums).  Config JSON is type-checked
+against the annotations of the object it feeds.  Reports never contain
+wall-clock times, so `replay`, which re-parses the recorded argv, reproduces
+them byte for byte; timings live in the manifest only.
 """
 
 from __future__ import annotations
@@ -17,14 +20,16 @@ import inspect
 import json
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, metrics, seeding, simulate
-from .ingest import IngestError, IngestSpec, ingest
+from .ingest import IngestError, IngestSpec, _resolve, ingest
 from .linalg import SingularMomentError
-from .simulate import ConfigError, ExperimentConfig, OutlierSpec
+from .simulate import ConfigError, ExperimentConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,25 +73,6 @@ def _ingest_spec_from_args(args):
     )
 
 
-def _manifest(command, config, seeds, input_path, outdir, timings, outputs):
-    return {
-        "tool": "subdopt",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "rng_seeds": seeds,
-        "input_checksum": _sha256(input_path) if input_path else None,
-        "timings": timings,
-        "outputs": {name: _sha256(Path(outdir) / name) for name in outputs},
-    }
-
-
-def _finish(command, config, seeds, input_path, outdir, timings, outputs):
-    _write_json(Path(outdir) / "manifest.json",
-                _manifest(command, config, seeds, input_path, outdir,
-                          timings, outputs))
-
-
 def _record_row(r):
     row = {"method": r.method, "repetition": r.repetition, "seed": r.seed,
            "k": r.k, "K": r.K, "iterations": r.iterations,
@@ -107,11 +93,8 @@ _CSV_FIELDS = ["method", "repetition", "seed", "k", "K", "iterations",
 
 def _write_report(report, outdir):
     rows = [_record_row(r) for r in report.records]
-    agg = report.aggregates()
-    for method_agg in agg.values():
-        method_agg.pop("mean_seconds", None)  # keep reports deterministic
     _write_json(Path(outdir) / "report.json",
-                {"records": rows, "aggregates": agg})
+                {"records": rows, "aggregates": report.aggregates()})
     with open(Path(outdir) / "report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS,
                                 extrasaction="ignore")
@@ -136,11 +119,8 @@ def _print_aggregates(report):
 
 # ---------------------------------------------------------------- select
 
-def _cmd_select(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _ingest_spec_from_args(args)
-    ds = ingest(spec)
+def _cmd_select(args, outdir):
+    ds = ingest(_ingest_spec_from_args(args))
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     sel, trace, seconds = simulate.select(
         x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
@@ -168,23 +148,20 @@ def _cmd_select(args):
             "iteration_accepts": trace.iteration_accepts,
         }
     _write_json(outdir / "report.json", report)
-    config = {"ingest": dataclasses.asdict(spec), "method": args.method,
-              "k": args.k, "K": args.K, "iterations": args.iterations,
-              "seed": args.seed, "seed_method": args.seed_method}
-    _finish("select", config, [args.seed], args.input, outdir,
-            {"select_seconds": seconds},
-            ["indices.txt", "report.json"])
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return EXIT_OK
+    return (None, [args.seed], args.input, {"select_seconds": seconds},
+            ["indices.txt", "report.json"])
 
 
 # ------------------------------------------------- simulate, bootstrap, timing
 
 def _load_json(path):
+    def reject(name):   # NaN and Infinity are not JSON
+        raise ConfigError(f"{path} is not valid JSON: {name}")
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -194,55 +171,78 @@ def _load_json(path):
     return raw
 
 
-def _fields(raw, target, where="config", skip=()):
-    """The arguments of `target` that `raw` sets, defaults filled in.
+_JSON = {bool: "a boolean", int: "an integer", float: "a number",
+         str: "a string", type(None): "null", list: "a list",
+         tuple: "a list", np.ndarray: "a list of numbers"}
 
-    Names and defaults come from target's signature: a parameter without
-    a default is required, any other key is an error.  `skip` names
-    parameters a config may not set.
+
+def _load(value, hint, name):
+    """The JSON `value` of config field `name`, checked against `hint`.
+
+    `int` and `float` take no booleans; `list`, `tuple` and `np.ndarray`
+    (of numbers) take a list, `list[X]` checks its entries, a dataclass
+    is built from an object, and `X | None` also takes null.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) \
+        else (hint,)
+    for kind in kinds:
+        base = typing.get_origin(kind) or kind
+        if dataclasses.is_dataclass(base) and isinstance(value, dict):
+            return base(**_fields(value, base, f"{name}."))
+        if base in (list, tuple, np.ndarray) and isinstance(value, list):
+            item = float if base is np.ndarray else \
+                (typing.get_args(kind) or (None,))[0]
+            items = [v if item is None else _load(v, item, f"{name}[{i}]")
+                     for i, v in enumerate(value)]
+            return tuple(items) if base is tuple else items
+        if isinstance(value, (int, float) if base is float else base) \
+                and (base is bool or not isinstance(value, bool)):
+            return value
+    wanted = [_JSON.get(typing.get_origin(k) or k, "an object") for k in kinds]
+    raise ConfigError(f"config field {name} must be {' or '.join(wanted)}, "
+                      f"got {value!r}")
+
+
+def _fields(raw, target, prefix="", skip=()):
+    """The arguments of `target` that the JSON object `raw` sets, loaded.
+
+    Names, defaults and types come from target's signature: a parameter
+    without a default is required and any other key is an error.  `prefix`
+    is the dotted path of `raw`; `skip` names parameters a config may not
+    set.
+    """
+    hints = typing.get_type_hints(target)
     params = {name: par.default for name, par
               in inspect.signature(target).parameters.items()
               if name not in skip}
     unknown = set(raw) - set(params)
     if unknown:
-        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
-    missing = [name for name, default in params.items()
+        raise ConfigError(f"unknown config field(s): "
+                          f"{sorted(prefix + u for u in unknown)}")
+    missing = [prefix + name for name, default in params.items()
                if default is inspect.Parameter.empty and name not in raw]
     if missing:
-        raise ConfigError(f"missing {where} field(s): {missing}")
-    return {name: raw.get(name, default) for name, default in params.items()}
+        raise ConfigError(f"missing config field(s): {missing}")
+    return {name: _load(raw[name], hints[name], prefix + name)
+            if name in raw else default for name, default in params.items()}
 
 
-def _cmd_simulate(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_simulate(args, outdir):
     raw = _load_json(args.config)
-    kw = _fields(raw, ExperimentConfig)
-    if kw["outliers"] is not None:
-        kw["outliers"] = OutlierSpec(
-            **_fields(kw["outliers"], OutlierSpec, "outliers"))
-    kw["methods"] = tuple(kw["methods"])
-    cfg = ExperimentConfig(**kw).validate()
+    cfg = ExperimentConfig(**_fields(raw, ExperimentConfig))
     t0 = time.perf_counter()
     report = simulate.run_experiment(cfg)
     seconds = time.perf_counter() - t0
     outputs = _write_report(report, outdir)
-    _finish("simulate", raw, [cfg.rng_seed + r
-                              for r in range(cfg.repetitions)],
-            None, outdir, {"total_seconds": seconds}, outputs)
     _print_aggregates(report)
-    return EXIT_OK
+    return (raw, [cfg.rng_seed + r for r in range(cfg.repetitions)], None,
+            {"total_seconds": seconds}, outputs)
 
 
-def _cmd_bootstrap(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_bootstrap(args, outdir):
     raw = _load_json(args.config)
     kw = dict(raw)
-    spec = IngestSpec(**_fields(kw.pop("input", None), IngestSpec, "input"))
+    spec = _load(kw.pop("input", None), IngestSpec, "input")
     kw = _fields(kw, simulate.bootstrap_mse, skip=("x", "y", "resample"))
     ds = ingest(spec)
     if ds.y is None:
@@ -251,15 +251,12 @@ def _cmd_bootstrap(args):
     report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
     seconds = time.perf_counter() - t0
     outputs = _write_report(report, outdir)
-    _finish("bootstrap", raw, [kw["rng_seed"] + b for b in range(kw["B"])],
-            spec.path, outdir, {"total_seconds": seconds}, outputs)
     _print_aggregates(report)
-    return EXIT_OK
+    return (raw, [kw["rng_seed"] + b for b in range(kw["B"])], spec.path,
+            {"total_seconds": seconds}, outputs)
 
 
-def _cmd_timing(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_timing(args, outdir):
     raw = _load_json(args.config)
     kw = _fields(raw, simulate.timing_study)
     t0 = time.perf_counter()
@@ -273,13 +270,11 @@ def _cmd_timing(args):
     timings = {"total_seconds": seconds,
                "cells": [{"k": c.k, "K": c.K, "iterations": c.iterations,
                           "mean_seconds": c.mean_seconds} for c in cells]}
-    _finish("timing", raw, [kw["rng_seed"]], None, outdir,
-            timings, ["report.json"])
     print(f"{'k':>4} {'K':>4} {'iters':>6} {'mean_s':>10} {'V gain %':>10}")
     for c in cells:
         print(f"{c.k:>4} {c.K:>4} {c.iterations:>6} "
               f"{c.mean_seconds:>10.4f} {c.mean_pct_v_gain:>10.2f}")
-    return EXIT_OK
+    return raw, [kw["rng_seed"]], None, timings, ["report.json"]
 
 
 # ------------------------------------------------------------------ hull
@@ -306,40 +301,29 @@ def _svg_hulls(full_hull, sub_hull, full_pts):
 
 
 def _parse_pair(text, columns):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"pair {text!r} must be 'colA,colB'")
-    out = []
-    for part in parts:
-        part = part.strip()
-        ref = _col(part)
-        if isinstance(ref, int):
-            if not 0 <= ref < len(columns):
-                raise ConfigError(f"column index {ref} out of range")
-            out.append(ref)
-        else:
-            if ref not in columns:
-                raise ConfigError(f"column {ref!r} not found; "
-                                  f"available: {columns}")
-            out.append(columns.index(ref))
-    if out[0] == out[1]:
-        raise ConfigError(f"pair {text!r} repeats a column")
+    out = [_resolve(_col(part.strip()), columns, "pair")
+           for part in text.split(",")]
+    if len(out) != 2 or out[0] == out[1]:
+        raise ConfigError(f"pair {text!r} must be 'colA,colB' with two "
+                          f"different columns")
     return out
 
 
-def _cmd_hull(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _ingest_spec_from_args(args)
-    ds = ingest(spec)
-    sel_idx = np.loadtxt(args.selection, dtype=np.intp, ndmin=1)
-    if sel_idx.size and (sel_idx.min() < 0 or
-                         sel_idx.max() >= ds.x.shape[0]):
-        raise ConfigError("selection indices out of range for the input")
+def _cmd_hull(args, outdir):
+    ds = ingest(_ingest_spec_from_args(args))
+    try:
+        sel_idx = np.loadtxt(args.selection, dtype=np.intp, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read selection {args.selection}: "
+                          f"{exc}") from None
+    if sel_idx.ndim != 1 or not sel_idx.size or sel_idx.min() < 0 \
+            or sel_idx.max() >= ds.x.shape[0]:
+        raise ConfigError(f"{args.selection} must list row indices of the "
+                          f"input, one per line")
     pairs = [_parse_pair(pr, ds.columns) for pr in args.pairs]
     results = []
     outputs = ["hulls.json"]
-    for (a, b), label in zip(pairs, args.pairs):
+    for a, b in pairs:
         full_pts = ds.x[:, [a, b]]
         sub_pts = ds.x[sel_idx][:, [a, b]]
         full_hull, full_area = metrics.hull_2d(full_pts)
@@ -358,70 +342,78 @@ def _cmd_hull(args):
                 _svg_hulls(full_hull, sub_hull, full_pts))
             outputs.append(name)
     _write_json(outdir / "hulls.json", {"pairs": results})
-    config = {"ingest": dataclasses.asdict(spec),
-              "selection": args.selection, "pairs": list(args.pairs),
-              "svg": args.svg}
-    _finish("hull", config, [], args.input, outdir, {}, outputs)
     for r in results:
         print(f"{r['columns'][0]} vs {r['columns'][1]}: "
               f"full area {r['full_area']:.5g}, "
               f"subdata area {r['subdata_area']:.5g}")
+    return None, [], args.input, {}, outputs
+
+
+# ------------------------------------------------------- runner and replay
+
+# Each command takes (args, outdir) and returns what its manifest records:
+# (config JSON or None, rng seeds, input path or None, timings, outputs).
+_COMMANDS = {"select": _cmd_select, "simulate": _cmd_simulate,
+             "bootstrap": _cmd_bootstrap, "timing": _cmd_timing,
+             "hull": _cmd_hull}
+
+
+def _outdir(path):
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return Path(path)
+
+
+def _run(args, argv):
+    """Run the parsed command `args` and write its manifest into args.out."""
+    outdir = _outdir(args.out)
+    config, seeds, input_path, timings, outputs = \
+        _COMMANDS[args.command](args, outdir)
+    _write_json(outdir / "manifest.json", {
+        "tool": "subdopt",
+        "version": __version__,
+        "command": args.command,
+        "argv": argv,
+        "config": config,
+        "rng_seeds": seeds,
+        "input_checksum": _sha256(input_path) if input_path else None,
+        "timings": timings,
+        "outputs": {name: _sha256(outdir / name) for name in outputs},
+    })
     return EXIT_OK
 
-
-# ---------------------------------------------------------------- replay
 
 def replay(manifest_path, out):
     """Re-run the command recorded in a manifest into a new directory.
 
-    Same inputs and seeds produce byte-identical reports; compare the
-    output checksums in the two manifests to verify a run.
+    The recorded argv is parsed again with `--out` replaced by `out`; a
+    `--config` command reads the recorded config.  Same inputs and seeds
+    produce byte-identical reports; compare the output checksums in the
+    two manifests to verify a run.
     """
     manifest = _load_json(manifest_path)
-    command = manifest.get("command")
-    cfg = manifest.get("config")
-    if command in ("simulate", "bootstrap", "timing"):
-        cfg_path = Path(out)
-        cfg_path.mkdir(parents=True, exist_ok=True)
-        cfg_file = cfg_path / "_replay_config.json"
-        _write_json(cfg_file, cfg)
-        return main([command, "--config", str(cfg_file), "--out", str(out)])
-    if command == "select":
-        ing = cfg["ingest"]
-        argv = ["select", "--input", ing["path"],
-                "--method", cfg["method"], "--k", str(cfg["k"]),
-                "--K", str(cfg["K"]),
-                "--iterations", str(cfg["iterations"]),
-                "--seed", str(cfg["seed"]),
-                "--seed-method", cfg["seed_method"], "--out", str(out)]
-        argv += _ingest_argv(ing)
-        return main(argv)
-    if command == "hull":
-        ing = cfg["ingest"]
-        argv = ["hull", "--input", ing["path"],
-                "--selection", cfg["selection"], "--out", str(out)]
-        if cfg.get("svg"):
-            argv.append("--svg")
-        argv += _ingest_argv(ing)
-        argv += ["--pairs"] + list(cfg["pairs"])
-        return main(argv)
-    raise ConfigError(f"manifest has unknown command {command!r}")
-
-
-def _ingest_argv(ing):
-    argv = ["--delimiter", ing["delimiter"],
-            "--skip-rows", str(ing["skip_rows"])]
-    if not ing["header"]:
-        argv.append("--no-header")
-    if ing.get("response") is not None:
-        argv += ["--response", str(ing["response"])]
-    if ing.get("covariates"):
-        argv += ["--covariates", ",".join(str(c)
-                                          for c in ing["covariates"])]
-    if ing.get("log_columns"):
-        argv += ["--log-columns", ",".join(str(c)
-                                           for c in ing["log_columns"])]
-    return argv
+    argv = manifest.get("argv")
+    if argv is None:
+        raise ConfigError(f"{manifest_path} records no argv; it was written "
+                          f"by an older subdopt, so re-run its command")
+    if not (isinstance(argv, list) and argv
+            and all(isinstance(a, str) for a in argv)
+            and argv[0] in _COMMANDS):
+        raise ConfigError(f"{manifest_path}: argv must be a list of strings "
+                          f"starting with one of {sorted(_COMMANDS)}, "
+                          f"got {argv!r}")
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        raise ConfigError(f"{manifest_path}: the recorded argv does not "
+                          f"parse") from None
+    args.out = out
+    if "config" in args:
+        args.config = _outdir(out) / "_replay_config.json"
+        _write_json(args.config, manifest.get("config"))
+    return _run(args, argv)
 
 
 # ------------------------------------------------------------------ main
@@ -456,18 +448,16 @@ def build_parser():
     sel.add_argument("--iterations", type=int, default=5)
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--seed-method", default="oss",
-                     choices=["uniform", "iboss", "oss"])
+                     choices=list(simulate.SEED_METHODS))
     sel.add_argument("--out", required=True)
-    sel.set_defaults(func=_cmd_select)
 
-    for name, func, help_text in (
-            ("simulate", _cmd_simulate, "run the simulation protocol"),
-            ("bootstrap", _cmd_bootstrap, "bootstrap MSE on a dataset"),
-            ("timing", _cmd_timing, "exchange timing/iteration grid")):
+    for name, help_text in (
+            ("simulate", "run the simulation protocol"),
+            ("bootstrap", "bootstrap MSE on a dataset"),
+            ("timing", "exchange timing/iteration grid")):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="JSON config file")
         sub.add_argument("--out", required=True)
-        sub.set_defaults(func=func)
 
     hull = subs.add_parser("hull", help="convex-hull diagnostics")
     _add_ingest_args(hull)
@@ -478,20 +468,20 @@ def build_parser():
     hull.add_argument("--svg", action="store_true",
                       help="also emit vector drawings")
     hull.add_argument("--out", required=True)
-    hull.set_defaults(func=_cmd_hull)
 
     rep = subs.add_parser("replay", help="re-run a manifest's command")
     rep.add_argument("manifest", help="manifest.json of an earlier run")
     rep.add_argument("out", help="output directory for the re-run")
-    rep.set_defaults(func=lambda args: replay(args.manifest, args.out))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "replay":
+            return replay(args.manifest, args.out)
+        return _run(args, argv)
     except (IngestError, ConfigError, seeding.ConstantColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST

@@ -54,9 +54,12 @@ def ingest(spec):
     """
     rows = []
     rejected = 0
+    if len(spec.delimiter) != 1:
+        raise IngestError(f"delimiter must be one character, got "
+                          f"{spec.delimiter!r}")
     try:
         fh = open(spec.path, newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise IngestError(f"cannot open {spec.path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)

@@ -46,12 +46,6 @@ def scale_to_unit_cube(x):
     return scaled, ScalingParams(lo, hi)
 
 
-def unscale(x_scaled, params):
-    """Inverse of scale_to_unit_cube."""
-    return (np.asarray(x_scaled, dtype=float) + 1.0) / 2.0 \
-        * (params.hi - params.lo) + params.lo
-
-
 def uniform_seed(x, k, rng_seed):
     """k distinct indices drawn without replacement, reproducibly."""
     n = np.asarray(x).shape[0]
@@ -119,16 +113,13 @@ def iboss_seed(x, k):
     return Selection(idx[:k], "iboss")
 
 
-def _needs_scaling(x):
-    return x.min() < -1.0 - 1e-12 or x.max() > 1.0 + 1e-12
-
-
 def oss_seed(x, k):
     """OSS: corner-seeking, sign-dissimilar greedy with candidate elimination.
 
-    Orthogonal subsampling (Wang, Elmstedt, Wong & Xu 2021).  The first
-    point maximizes the squared norm.  Every later point minimizes the
-    cumulative loss sum over selected s of
+    Orthogonal subsampling (Wang, Elmstedt, Wong & Xu 2021).  `x` must
+    already be scaled to [-1, 1] (`scale_to_unit_cube`), which the loss
+    assumes.  The first point maximizes the squared norm.  Every later
+    point minimizes the cumulative loss sum over selected s of
     (p - |x|^2/2 - |s|^2/2 + m(x, s))^2, where m counts coordinates with
     matching sign.
 
@@ -137,16 +128,16 @@ def oss_seed(x, k):
     cumulative loss, but never fewer than the k - i still to be picked.
     The OSS paper leaves the rounding of n / i^(r-1) open; the floor is
     used here.  Losses are only updated for live rows, which is where
-    the O(np log k) cost stated by the OSS paper comes from.  Ties in the loss, both at the elimination boundary
-    and for the next pick, go to the lower row index.
+    the O(np log k) cost stated by the OSS paper comes from.  Ties in the
+    loss, both at the elimination boundary and for the next pick, go to
+    the lower row index.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    xs = scale_to_unit_cube(x)[0] if _needs_scaling(x) else x
-    norms2 = np.einsum("ij,ij->i", xs, xs)
-    signs = np.sign(xs)
+    norms2 = np.einsum("ij,ij->i", x, x)
+    signs = np.sign(x)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = int(np.argmax(norms2))
     # live rows in ascending order, so argmin ties go to the lower index

@@ -8,9 +8,8 @@ cannot change the results.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -24,6 +23,7 @@ class ConfigError(ValueError):
 
 
 METHODS = ("uniform", "iboss", "oss", "alg1", "valg1")
+SEED_METHODS = METHODS[:3]   # what alg1/valg1 can start from
 
 
 @dataclass
@@ -69,37 +69,30 @@ class ExperimentConfig:
     sigma2: float = 3.0
 
     def validate(self):
-        kinds = {"int": numbers.Integral, "float": numbers.Real}
-        for obj in [o for o in (self, self.outliers) if o is not None]:
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                if f.type in kinds and not isinstance(value, kinds[f.type]):
-                    raise ConfigError(
-                        f"{f.name} must be {f.type}, got {value!r}")
         shift = None if self.outliers is None else self.outliers.mean_shift
         for name, vec in (("beta1", self.beta1),
                           ("outliers.mean_shift", shift)):
             if vec is not None and np.shape(vec) != (self.p,):
                 raise ConfigError(f"{name} must have p={self.p} entries")
-        if self.k > self.n:
-            raise ConfigError(f"k={self.k} exceeds n={self.n}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
+        if not 1 <= self.k <= self.n:
+            raise ConfigError(f"k must be in [1, n={self.n}], got {self.k}")
+        if min(self.p, self.K, self.repetitions, self.alg1_iterations) < 1:
+            raise ConfigError("p, K, repetitions and alg1_iterations must "
+                              "be >= 1")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.alg1_iterations < 1:
-            raise ConfigError("alg1_iterations must be >= 1")
         if not self.methods:
             raise ConfigError("methods must be a nonempty list")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if self.seed_method not in ("uniform", "iboss", "oss"):
+        if self.seed_method not in SEED_METHODS:
             raise ConfigError(f"invalid seed_method {self.seed_method!r}")
-        if self.outliers is not None and self.outliers.count > self.n:
-            raise ConfigError("outliers.count exceeds n")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.outliers is not None and \
+                not 0 <= self.outliers.count <= self.n:
+            raise ConfigError(f"outliers.count must be in [0, n={self.n}]")
         return self
 
     def model_params(self):
@@ -133,11 +126,7 @@ class ExperimentReport:
 
     def aggregates(self):
         out = {}
-        methods = []
-        for r in self.records:
-            if r.method not in methods:
-                methods.append(r.method)
-        for m in methods:
+        for m in dict.fromkeys(r.method for r in self.records):
             recs = self.by_method(m)
             if not recs:
                 out[m] = {"failed": True}
@@ -158,8 +147,6 @@ class ExperimentReport:
                         "q25": float(np.quantile(vals, 0.25)),
                         "q75": float(np.quantile(vals, 0.75)),
                     }
-            agg["mean_seconds"] = float(
-                np.mean([r.seconds for r in recs]))
             out[m] = agg
         return out
 
@@ -172,12 +159,11 @@ def ols_fit(x, y, sel):
     idx = as_indices(sel)
     z = augment(np.asarray(x, dtype=float)[idx])
     ys = np.asarray(y, dtype=float)[idx]
-    q = z.T @ z
-    try:
-        factor = cho_factor(q, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMomentError("selection is singular") from exc
-    beta = cho_solve(factor, z.T @ ys)
+    try:   # scipy raises ValueError on moments that overflowed to inf
+        beta = cho_solve(cho_factor(z.T @ z, lower=True), z.T @ ys)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularMomentError("selection is singular or its moments "
+                                  "overflow") from exc
     return beta, beta[1:]
 
 
@@ -190,20 +176,16 @@ def adjusted_intercept(y_bar_full, x_bar_full, slopes):
     return float(y_bar_full - x_bar_full @ slopes)
 
 
-def _equicorr_rows(rng, n, p, rho):
-    g = rng.standard_normal((n, p))
-    if rho == 0.0:
-        return g
-    g0 = rng.standard_normal((n, 1))
-    return math.sqrt(1.0 - rho) * g + math.sqrt(rho) * g0
-
-
 def gen_mvn_equicorr(n, p, rho, rng_seed):
     """Rows i.i.d. N(0, (1-rho) I + rho J)."""
     if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
+        raise ConfigError(f"rho must be in [0, 1), got {rho}")
     rng = np.random.default_rng(rng_seed)
-    return _equicorr_rows(rng, n, p, rho)
+    g = rng.standard_normal((n, p))
+    if rho == 0.0:
+        return g
+    return math.sqrt(1.0 - rho) * g + \
+        math.sqrt(rho) * rng.standard_normal((n, 1))
 
 
 def gen_outlier_scenario(n, p, count, mean_shift, rho, rng_seed):
@@ -333,8 +315,9 @@ def run_experiment(config, keep_selections=False):
     return report
 
 
-def bootstrap_mse(x, y, B, method, k, K, rng_seed=0, iterations=5,
-                  seed_method="oss", resample=True):
+def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
+                  rng_seed: int = 0, iterations: int = 5,
+                  seed_method: str = "oss", resample=True):
     """Bootstrap the subdata-selection MSE on a fixed dataset.
 
     Each of the B resamples draws n rows with replacement, runs the
@@ -371,20 +354,24 @@ class TimingCell:
     mean_pct_v_gain: float   # percent increase of V over the seed
 
 
-def timing_study(ks, Ks, iteration_counts, n=1000, p=7, rho=0.5,
-                 repetitions=50, rng_seed=0, seed_method="oss"):
+def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
+                 n: int = 1000, p: int = 7, rho: float = 0.5,
+                 repetitions: int = 50, rng_seed: int = 0,
+                 seed_method: str = "oss"):
     """Mean exchange wall time and V gain per (k, K, iterations) cell.
 
     Every cell re-runs the exchange from the same per-repetition data and
     seed selection, so timings across iteration counts are comparable.
     """
-    if not all(isinstance(g, (list, tuple)) and g
-               for g in (ks, Ks, iteration_counts)):
+    if not (ks and Ks and iteration_counts):
         raise ConfigError("timing grid must be nonempty lists")
-    if not all(isinstance(v, numbers.Integral) and v >= 1
-               for v in (*ks, *Ks, *iteration_counts, n, p, repetitions)):
+    if min(*ks, *Ks, *iteration_counts, n, p, repetitions) < 1 or \
+            max(ks) >= n:
         raise ConfigError("ks, Ks, iteration_counts, n, p and repetitions "
-                          "must be integers >= 1")
+                          "must be >= 1, and each k below n")
+    if rng_seed < 0 or seed_method not in SEED_METHODS:
+        raise ConfigError(f"need rng_seed >= 0 and seed_method in "
+                          f"{SEED_METHODS}, got {rng_seed}, {seed_method!r}")
     datasets = []
     for rep in range(repetitions):
         x = gen_mvn_equicorr(n, p, rho, rng_seed + rep)

@@ -1,26 +1,35 @@
+import contextlib
 import hashlib
+import inspect
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdopt import cli, simulate
 from subdopt.ingest import IngestError, IngestSpec, ingest
 
 
-@pytest.fixture
-def csv_file(tmp_path):
+def write_csv(path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((120, 3))
     y = 1.0 + x @ np.ones(3) + rng.standard_normal(120)
-    path = tmp_path / "data.csv"
     lines = ["a,b,c,resp"]
     for row, yy in zip(x, y):
         lines.append(",".join(f"{v:.8f}" for v in row) + f",{yy:.8f}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def csv_file(tmp_path):
+    return write_csv(tmp_path / "data.csv")
 
 
 class TestIngest:
@@ -141,10 +150,16 @@ class TestSelectCommand:
         ["--method", "alg1", "--k", "10", "--iterations", "0"],
         ["--method", "alg1", "--k", "120"],
         ["--method", "valg1", "--k", "120"],
+        ["--method", "oss", "--k", "5", "--delimiter", ";;"],
+        ["--method", "oss", "--k", "5", "--delimiter", ""],
+        ["--method", "oss", "--k", "5", "--out", "data.csv"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
-            "iterations0", "alg1-k-n", "valg1-k-n"])
+            "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
+            "delimiter-empty", "out-is-a-file"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
+        # also bad delimiters and an --out that names an existing file
+        args = [str(tmp_path / a) if a == "data.csv" else a for a in args]
         rc = cli.main(["select", "--input", str(csv_file),
                        "--response", "resp", "--out", str(tmp_path / "o")]
                       + args)
@@ -166,10 +181,15 @@ class TestSelectCommand:
                   "--seed", "3", "--out", str(out1)])
         rc = cli.main(["replay", str(out1 / "manifest.json"), str(out2)])
         assert rc == 0
-        assert (out1 / "report.json").read_bytes() \
-            == (out2 / "report.json").read_bytes()
-        assert (out1 / "indices.txt").read_bytes() \
-            == (out2 / "indices.txt").read_bytes()
+        # a replay records the same argv, so it replays in turn
+        out3 = tmp_path / "r3"
+        assert cli.main(["replay", str(out2 / "manifest.json"),
+                         str(out3)]) == 0
+        for out in (out2, out3):
+            assert (out1 / "report.json").read_bytes() \
+                == (out / "report.json").read_bytes()
+            assert (out1 / "indices.txt").read_bytes() \
+                == (out / "indices.txt").read_bytes()
 
 
 class TestSimulateCommand:
@@ -274,32 +294,132 @@ class TestTimingCommand:
             == (out2 / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("command, change", [
-    ("simulate", {"methods": []}),
-    ("simulate", {"n": "1000"}),
-    ("simulate", {"beta1": [1.0, 1.0, 1.0]}),
-    ("simulate", {"outliers": {"count": 5, "mean_shift": [5.0]}}),
-    ("simulate", {"outliers": {"count": "5", "mean_shift": [5.0, 0.0]}}),
-    ("timing", {"iteration_counts": [0, 1]}),
-    ("timing", {"ks": [0]}),
-    ("timing", {"Ks": [0]}),
-    ("timing", {"n": "120"}),
-    ("timing", {"ks": 8}),
+BASE_CONFIGS = {
+    "simulate": dict(n=200, p=2, k=16, K=4, repetitions=2,
+                     methods=["uniform", "valg1"]),
+    "timing": dict(ks=[8], Ks=[4], iteration_counts=[1, 2], n=120, p=2,
+                   repetitions=2),
+    "bootstrap": dict(input={"path": "data.csv", "response": "resp"}, B=3,
+                      method="oss", k=18, K=4, rng_seed=1),
+}
+
+
+def run_config(command, cfg, workdir):
+    """`subdopt <command>` on `cfg` with data.csv in workdir: (rc, stderr)."""
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps(cfg).replace(
+        '"data.csv"', json.dumps(str(workdir / "data.csv"))))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", str(path),
+                       "--out", str(workdir / "o")])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("command, change, needle", [
+    ("simulate", {"methods": []}, "methods"),
+    ("simulate", {"n": "1000"}, "n must be an integer"),
+    ("simulate", {"beta1": [1.0, 1.0, 1.0]}, "beta1"),
+    ("simulate", {"outliers": {"count": 5, "mean_shift": [5.0]}},
+     "mean_shift"),
+    ("simulate", {"outliers": {"count": "5", "mean_shift": [5.0, 0.0]}},
+     "outliers.count must be an integer"),
+    ("timing", {"iteration_counts": [0, 1]}, "iteration_counts"),
+    ("timing", {"ks": [0]}, "ks"),
+    ("timing", {"Ks": [0]}, "Ks"),
+    ("timing", {"n": "120"}, "n must be an integer"),
+    ("timing", {"ks": 8}, "ks must be a list"),
+    ("simulate", {"methods": "uniform"},
+     "config field methods must be a list, got 'uniform'"),
+    ("simulate", {"beta1": ["a", "b"]}, "beta1[0] must be a number"),
+    ("simulate", {"outliers": {"count": -1, "mean_shift": [5.0, 0.0]}},
+     "outliers.count"),
+    ("simulate", {"p": 0}, "p, K"),
+    ("simulate", {"rng_seed": -1}, "rng_seed"),
+    ("timing", {"rho": "x"}, "rho must be a number"),
+    ("timing", {"rho": 2.0}, "rho"),
+    ("timing", {"rng_seed": "1"}, "rng_seed must be an integer"),
+    ("timing", {"seed_method": "alg1"}, "seed_method"),
+    ("bootstrap", {"B": "2"}, "B must be an integer"),
+    ("bootstrap", {"input": {"path": "data.csv", "skip_rows": "1"}},
+     "input.skip_rows must be an integer"),
+    ("bootstrap", {"input": {"path": "data.csv", "log_columns": None}},
+     "input.log_columns must be a list"),
+    ("bootstrap", {"input": {"path": "data.csv", "delimiter": ""}},
+     "delimiter"),
+    ("bootstrap", {"input": {"path": "data.csv", "covariates": "ab"}},
+     "input.covariates must be a list or null"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
-        "timing-ks-not-list"])
-def test_bad_config_is_config_error(tmp_path, capsys, command, change):
-    base = {"simulate": dict(n=200, p=2, k=16, K=4, repetitions=2,
-                             methods=["uniform", "valg1"]),
-            "timing": dict(ks=[8], Ks=[4], iteration_counts=[1, 2], n=120,
-                           p=2, repetitions=2)}[command]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**base, **change}))
-    rc = cli.main([command, "--config", str(path),
-                   "--out", str(tmp_path / "o")])
+        "timing-ks-not-list", "simulate-methods-string",
+        "simulate-beta1-strings", "simulate-count-negative", "simulate-p0",
+        "simulate-seed-negative", "timing-rho-string", "timing-rho-2",
+        "timing-seed-string", "timing-seed-method-alg1",
+        "bootstrap-B-string", "bootstrap-skip-rows-string",
+        "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
+        "bootstrap-covariates-string"])
+def test_bad_config_is_config_error(tmp_path, command, change, needle):
+    write_csv(tmp_path / "data.csv")
+    rc, err = run_config(command, {**BASE_CONFIGS[command], **change},
+                         tmp_path)
     assert rc == cli.EXIT_INGEST
-    assert capsys.readouterr().err.startswith("error:")
+    assert err.startswith("error:") and needle in err, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return write_csv(tmp_path_factory.mktemp("fuzz") / "data.csv").parent
+
+
+SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                    st.floats(), st.integers(-3, 3))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                   st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+TARGETS = {"simulate": (simulate.ExperimentConfig, "outliers",
+                        simulate.OutlierSpec),
+           "timing": (simulate.timing_study, None, None),
+           "bootstrap": (simulate.bootstrap_mse, "input", IngestSpec)}
+
+
+@st.composite
+def fuzzed_config(draw):
+    """A base config with one field replaced, dropped or added."""
+    command = draw(st.sampled_from(sorted(BASE_CONFIGS)))
+    cfg = json.loads(json.dumps(BASE_CONFIGS[command]))
+    if command == "simulate":
+        cfg["outliers"] = {"count": 5, "mean_shift": [5.0, 0.0]}
+    target, nested, nested_target = TARGETS[command]
+    names = {*inspect.signature(target).parameters, nested, "bogus"}
+    paths = [(name,) for name in sorted(names - {None, "x", "y", "resample"})]
+    if nested:
+        paths += [(nested, name) for name in
+                  [*inspect.signature(nested_target).parameters, "bogus"]]
+    *parents, key = draw(st.sampled_from(paths))
+    holder = cfg[parents[0]] if parents else cfg
+    if draw(st.booleans()) and key in holder:
+        del holder[key]
+    else:
+        value = draw(VALUES)
+        old = holder.get(key)
+        if type(value) is int and type(old) is int:
+            value = min(value, old)   # never a larger size than the base
+        holder[key] = value
+    return command, cfg
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=fuzzed_config())
+def test_fuzzed_config_exits_cleanly(fuzz_dir, case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as workdir:
+        workdir = Path(workdir)
+        (workdir / "data.csv").write_bytes(
+            (fuzz_dir / "data.csv").read_bytes())
+        rc, err = run_config(command, cfg, workdir)
+    assert rc in (cli.EXIT_OK, cli.EXIT_INGEST, cli.EXIT_NUMERIC), err
+    assert "Traceback" not in err
 
 
 class TestHullCommand:
@@ -333,25 +453,47 @@ class TestHullCommand:
         hulls = json.loads((out / "hulls.json").read_text())
         assert hulls["pairs"][0]["area_ratio"] == pytest.approx(1.0)
 
-    def test_bad_pair(self, csv_file, tmp_path):
+    @pytest.mark.parametrize("selection, extra", [
+        ("0\n1\n2\n", ["--pairs", "a,zzz"]),
+        (None, ["--pairs", "a,b"]),
+        ("0\n1.5\n", ["--pairs", "a,b"]),
+        ("", ["--pairs", "a,b"]),
+        ("0 1\n2 3\n4 5\n", ["--pairs", "a,b"]),
+        ("0\n1\n2\n", ["--pairs", "a,b", "--delimiter", ";;"]),
+    ], ids=["unknown-column", "selection-missing", "selection-not-integers",
+            "selection-empty", "selection-two-columns",
+            "delimiter-two-chars"])
+    def test_bad_pair(self, csv_file, tmp_path, capsys, selection, extra):
+        # also a missing, malformed or empty selection file and a bad
+        # delimiter
         sel = tmp_path / "s.txt"
-        sel.write_text("0\n1\n2\n")
+        if selection is not None:
+            sel.write_text(selection)
         rc = cli.main(["hull", "--input", str(csv_file),
                        "--response", "resp", "--selection", str(sel),
-                       "--pairs", "a,zzz", "--out", str(tmp_path / "o")])
+                       "--out", str(tmp_path / "o")] + extra)
         assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestReplayCommand:
     @pytest.mark.parametrize("text", [
         None, "{not json", "[1, 2]", '{"command": "frobnicate"}',
-    ], ids=["missing", "not-json", "not-object", "unknown-command"])
-    def test_bad_manifest_is_config_error(self, tmp_path, text):
+        '{"command": "select"}',
+        '{"command": "select", "argv": ["select", 3]}',
+        '{"command": "select", "argv": ["replay", "manifest.json", "o"]}',
+        '{"command": "select", "argv": ["select", "--k", "x"]}',
+    ], ids=["missing", "not-json", "not-object", "unknown-command",
+            "no-argv", "argv-not-strings", "argv-replay",
+            "argv-does-not-parse"])
+    def test_bad_manifest_is_config_error(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"
         if text is not None:
             manifest.write_text(text)
         rc = cli.main(["replay", str(manifest), str(tmp_path / "o")])
         assert rc == cli.EXIT_INGEST
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") for line in err)
 
 
 ROOT = Path(__file__).resolve().parent.parent
