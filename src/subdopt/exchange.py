@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SingularMomentError, as_indices, augment, build_moment
-from .seeding import Selection
+from .seeding import Selection, _extremes
 
 #: Relative strict-improvement threshold on the determinant ratio,
 #: guarding against cycling on floating-point noise.
@@ -69,28 +69,29 @@ def candidate_pool(x, sel, K):
 
     For each covariate in order: the K/2 smallest rows (ascending), then
     the K/2 largest (ascending, maximum last).  Odd K gives the large end
-    the extra row.  Rows taken for an earlier covariate are *not*
+    the extra row.  Ties go to the lower row at the small end and to the
+    higher row at the large end, and rows tied in value are listed by
+    ascending row.  Rows taken for an earlier covariate are *not*
     excluded, so a row can be appended twice; the final pool keeps unique
-    rows by first occurrence.
+    rows by first occurrence.  Each end costs one O(n) partition of its
+    column, so the pool is O(np).
     """
     if K < 1:
         raise ValueError(f"K must be a positive integer, got {K}")
     x = np.asarray(x, dtype=float)
     n, p = x.shape
-    idx = as_indices(sel)
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False
-    remaining = np.flatnonzero(mask)
-    if remaining.size == 0:
+    taken = np.zeros(n, dtype=bool)
+    taken[as_indices(sel)] = True
+    if taken.all():
         raise ValueError("no unselected rows left to build a pool from")
-    n_small = min(K // 2, remaining.size)
-    n_large = min(K - K // 2, remaining.size)
     parts = []
     for j in range(p):
-        vals = x[remaining, j]
-        order = np.lexsort((remaining, vals))
-        parts.append(remaining[order[:n_small]])
-        parts.append(remaining[order[-n_large:]])
+        col = np.ascontiguousarray(x[:, j])
+        parts.append(_extremes(col, K // 2, taken))
+        # the large end is the small end of the negated column read
+        # backwards, which sends ties to the higher row
+        rev = _extremes(-col[::-1], K - K // 2, taken[::-1])
+        parts.append(n - 1 - rev[::-1])
     stacked = np.concatenate(parts)
     _, first = np.unique(stacked, return_index=True)
     pool = stacked[np.sort(first)]

@@ -97,6 +97,10 @@ def ingest(spec):
         resp_idx = _resolve(spec.response, names, "response")
     if spec.covariates is not None:
         cov_idx = [_resolve(c, names, "covariate") for c in spec.covariates]
+        for i, j in enumerate(cov_idx):
+            if j in cov_idx[:i]:
+                raise IngestError(f"covariate column {names[j]!r} is "
+                                  f"listed more than once")
     else:
         cov_idx = [j for j in range(width) if j != resp_idx]
     if resp_idx is not None and resp_idx in cov_idx:

@@ -42,7 +42,11 @@ def scale_to_unit_cube(x):
     if np.any(hi <= lo):
         cols = np.flatnonzero(hi <= lo)
         raise ConstantColumnError(f"constant column(s): {cols.tolist()}")
-    scaled = 2.0 * (x - lo) / (hi - lo) - 1.0
+    # 2(x - lo)/(hi - lo) - 1, evaluated in that order on one temporary
+    scaled = x - lo
+    scaled *= 2.0
+    scaled /= hi - lo
+    scaled -= 1.0
     return scaled, ScalingParams(lo, hi)
 
 
@@ -56,26 +60,34 @@ def uniform_seed(x, k, rng_seed):
     return Selection(idx, "uniform")
 
 
-def _smallest(vals, ids, m):
-    """Indices (from ids) of the m smallest values, ties on lower id.
+def _smallest(vals, m):
+    """Positions, in ascending order, of the m smallest values; ties at
+    the boundary go to the lower position.
 
-    Uses a partial partition so the typical cost is O(len) rather than a
-    full sort; only the tied boundary region gets sorted.
+    One O(len) partition finds the m-th smallest value; nothing is sorted.
+    """
+    if m >= vals.size:
+        return np.arange(vals.size)
+    thresh = np.partition(vals, m - 1)[m - 1]
+    cand = np.flatnonzero(vals <= thresh)
+    tied = vals[cand] == thresh
+    # keep everything below the threshold and the lowest-position ties
+    n_tied = m - (cand.size - np.count_nonzero(tied))
+    return cand[~tied | (np.cumsum(tied) <= n_tied)]
+
+
+def _extremes(col, m, taken):
+    """Rows of the m smallest values of a full column among the rows not
+    `taken` (a boolean mask), ascending by (value, row).
+
+    The m smallest available rows are always among the m + |taken|
+    smallest rows overall, so only those are ranked: O(n) per call.
     """
     if m <= 0:
-        return ids[:0]
-    if m >= vals.size:
-        order = np.lexsort((ids, vals))
-        return ids[order]
-    part = np.argpartition(vals, m - 1)[:m]
-    thresh = vals[part].max()
-    cand = np.flatnonzero(vals <= thresh)
-    order = np.lexsort((ids[cand], vals[cand]))
-    return ids[cand[order][:m]]
-
-
-def _largest(vals, ids, m):
-    return _smallest(-vals, ids, m)
+        return np.empty(0, dtype=np.intp)
+    top = _smallest(col, m + np.count_nonzero(taken))
+    top = top[~taken[top]]
+    return top[np.argsort(col[top], kind="stable")[:m]]
 
 
 def iboss_seed(x, k):
@@ -84,7 +96,11 @@ def iboss_seed(x, k):
     For each covariate in order, r rows with the smallest and r with the
     largest values are taken among not-yet-selected rows.  The base count
     is floor(k / 2p); the remainder is handed out one per extreme starting
-    from covariate 1 (small end first) so the total is exactly k.
+    from covariate 1 (small end first) so the total is exactly k.  Each
+    end is listed from the most extreme value inward; ties go to the
+    lower row.  Each end costs one O(n) partition of its column, so the
+    seed is O(np), the cost IBOSS was designed for (Wang, Yang & Stufken
+    2019).
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -97,20 +113,23 @@ def iboss_seed(x, k):
         for _ in ("small", "large"):
             counts.append(base + (1 if rem > 0 else 0))
             rem -= 1
-    avail = np.ones(n, dtype=bool)
+    taken = np.zeros(n, dtype=bool)
     chosen = []
     for j in range(p):
-        for side, m in (("small", counts[2 * j]), ("large", counts[2 * j + 1])):
-            ids = np.flatnonzero(avail)
-            if ids.size == 0 or m == 0:
-                continue
-            vals = x[ids, j]
-            take = _smallest(vals, ids, m) if side == "small" \
-                else _largest(vals, ids, m)
+        col = np.ascontiguousarray(x[:, j])
+        for vals, m in ((col, counts[2 * j]), (-col, counts[2 * j + 1])):
+            take = _extremes(vals, m, taken)
             chosen.append(take)
-            avail[take] = False
-    idx = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.intp)
-    return Selection(idx[:k], "iboss")
+            taken[take] = True
+    return Selection(np.concatenate(chosen), "iboss")
+
+
+def _pack(bits):
+    """Each row of a boolean matrix as ceil(p / 64) uint64 words."""
+    n, p = bits.shape
+    packed = np.zeros((n, 8 * -(-p // 64)), dtype=np.uint8)
+    packed[:, :-(-p // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 def oss_seed(x, k):
@@ -131,13 +150,20 @@ def oss_seed(x, k):
     the O(np log k) cost stated by the OSS paper comes from.  Ties in the
     loss, both at the elimination boundary and for the next pick, go to
     the lower row index.
+
+    Cost: one O(np) pass packs each row's signs into ceil(p / 64) words
+    per sign and computes p - |x|^2/2; a loss update then costs
+    O(ceil(p / 64)) word operations per live row.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     norms2 = np.einsum("ij,ij->i", x, x)
-    signs = np.sign(x)
+    base = p - norms2 / 2.0
+    # sign codes: one bit per coordinate for "positive", one for
+    # "negative"; a coordinate's signs match when both bits agree
+    pos, neg = _pack(x > 0), _pack(x < 0)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = int(np.argmax(norms2))
     # live rows in ascending order, so argmin ties go to the lower index
@@ -146,11 +172,16 @@ def oss_seed(x, k):
     r = math.log(n) / math.log(k) if k > 1 else 1.0   # k = 1: no loop
     for i in range(1, k):
         s = chosen[i - 1]
-        match = np.count_nonzero(signs[ids] == signs[s], axis=1)
-        loss += (p - norms2[ids] / 2.0 - norms2[s] / 2.0 + match) ** 2
+        differ = np.bitwise_count((pos[ids] ^ pos[s]) | (neg[ids] ^ neg[s]))
+        # (p - |x|^2/2 - |s|^2/2 + match)^2, in that order of operations
+        d = base[ids]
+        d -= norms2[s] / 2.0
+        d += p - differ.sum(axis=1, dtype=np.intp)
+        d *= d
+        loss += d
         keep = max(math.floor(n / i ** (r - 1.0)), k - i)
         if keep < ids.size:
-            live = np.sort(_smallest(loss, np.arange(ids.size), keep))
+            live = _smallest(loss, keep)
             ids, loss = ids[live], loss[live]
         j = int(np.argmin(loss))
         chosen[i] = ids[j]

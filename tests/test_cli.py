@@ -76,6 +76,12 @@ class TestIngest:
             ingest(IngestSpec(str(csv_file), response="a",
                               covariates=["a", "b"]))
 
+    def test_repeated_covariate(self, csv_file):
+        # a name and an index that resolve to the same column
+        with pytest.raises(IngestError, match="'b' is listed more than once"):
+            ingest(IngestSpec(str(csv_file), response="resp",
+                              covariates=["b", "c", 1]))
+
     def test_blank_lines_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("u,v\n1,2\n\n3,4\n\n")
@@ -153,9 +159,10 @@ class TestSelectCommand:
         ["--method", "oss", "--k", "5", "--delimiter", ";;"],
         ["--method", "oss", "--k", "5", "--delimiter", ""],
         ["--method", "oss", "--k", "5", "--out", "data.csv"],
+        ["--method", "oss", "--k", "5", "--covariates", "a,a"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
             "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
-            "delimiter-empty", "out-is-a-file"])
+            "delimiter-empty", "out-is-a-file", "covariate-repeated"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
         # also bad delimiters and an --out that names an existing file
@@ -350,6 +357,9 @@ def run_config(command, cfg, workdir):
      "delimiter"),
     ("bootstrap", {"input": {"path": "data.csv", "covariates": "ab"}},
      "input.covariates must be a list or null"),
+    ("bootstrap", {"input": {"path": "data.csv", "response": "resp",
+                             "covariates": ["a", "a"]}},
+     "covariate column 'a' is listed more than once"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -359,7 +369,7 @@ def run_config(command, cfg, workdir):
         "timing-seed-string", "timing-seed-method-alg1",
         "bootstrap-B-string", "bootstrap-skip-rows-string",
         "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
-        "bootstrap-covariates-string"])
+        "bootstrap-covariates-string", "bootstrap-covariate-repeated"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},

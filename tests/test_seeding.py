@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subdopt import seeding
+from subdopt import exchange, seeding
 
 
 class TestScaling:
@@ -16,6 +18,15 @@ class TestScaling:
         x = np.array([[-1.0], [0.25], [1.0]])
         scaled, _ = seeding.scale_to_unit_cube(x)
         np.testing.assert_allclose(scaled, x)
+
+    def test_bytes_match_the_plain_expression(self):
+        rng = np.random.default_rng(30)
+        for x in (rng.standard_normal((300, 4)) * 7 + 3,
+                  rng.integers(-3, 4, (200, 5)).astype(float)):
+            lo, hi = x.min(axis=0), x.max(axis=0)
+            scaled, _ = seeding.scale_to_unit_cube(x)
+            want = 2.0 * (x - lo) / (hi - lo) - 1.0
+            assert scaled.tobytes() == want.tobytes()
 
     def test_constant_column_rejected(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -214,3 +225,121 @@ class TestOssElimination:
                       [1.0, 1.0], [-1.0, -1.0], [0.5, -0.5]])
         assert seeding.oss_seed(x, 2).indices.tolist() == [0, 2]
         assert oss_loop(x, 2) == [0, 2]
+
+
+def iboss_reference(x, k):
+    """IBOSS with exclusion, each extreme taken by a full sort of the rows
+    still available; ties on the lower row."""
+    n, p = x.shape
+    base = k // (2 * p)
+    counts = [base + (i < k - 2 * p * base) for i in range(2 * p)]
+    avail = np.ones(n, dtype=bool)
+    chosen = []
+    for j in range(p):
+        for end, sign in ((0, 1.0), (1, -1.0)):
+            ids = np.flatnonzero(avail)
+            order = np.lexsort((ids, sign * x[ids, j]))
+            take = ids[order[:counts[2 * j + end]]]
+            chosen.extend(take.tolist())
+            avail[take] = False
+    return chosen
+
+
+def pool_reference(x, sel, K):
+    """The candidate pool by a full sort of the unselected rows per
+    covariate: the first K/2 and the last K - K/2 in (value, row) order,
+    duplicates dropped after their first occurrence."""
+    n, p = x.shape
+    mask = np.ones(n, dtype=bool)
+    mask[sel] = False
+    remaining = np.flatnonzero(mask)
+    stacked = []
+    for j in range(p):
+        order = remaining[np.lexsort((remaining, x[remaining, j]))]
+        stacked += order[:K // 2].tolist()
+        stacked += order[max(order.size - (K - K // 2), 0):].tolist()
+    pool = []
+    for row in stacked:
+        if row not in pool:
+            pool.append(row)
+    return pool
+
+
+def tie_heavy(seed, n, p, levels=3):
+    """Integer-valued data with many ties in every column."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-levels, levels + 1, (n, p)).astype(float)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("seed, n, p, k", [
+        (50, 60, 3, 1),      # k = 1: one row from the small end
+        (51, 60, 3, 7),      # odd k: the remainder goes to the first ends
+        (52, 60, 3, 12),
+        (53, 80, 5, 9),      # k < 2p: some ends take nothing
+        (54, 40, 2, 38),     # k near n
+        (55, 40, 2, 40),     # k = n
+        (56, 300, 4, 40),
+    ])
+    def test_iboss(self, seed, n, p, k):
+        x = tie_heavy(seed, n, p)
+        assert seeding.iboss_seed(x, k).indices.tolist() == \
+            iboss_reference(x, k)
+
+    @pytest.mark.parametrize("seed, n, p, k, K", [
+        (60, 80, 3, 10, 1),      # K = 1: the large end only
+        (61, 80, 3, 10, 6),      # even K
+        (62, 80, 3, 10, 7),      # odd K: the large end gets the extra row
+        (63, 30, 2, 10, 20),     # K = remaining rows
+        (64, 30, 2, 10, 45),     # K above the remaining rows
+        (65, 40, 3, 38, 4),      # k near n: two rows remain
+        (66, 40, 3, 39, 5),      # one row remains
+        (67, 500, 5, 50, 25),
+    ])
+    def test_pool(self, seed, n, p, k, K):
+        x = tie_heavy(seed, n, p, levels=2)
+        sel = np.random.default_rng(seed).choice(n, k, replace=False)
+        assert exchange.candidate_pool(x, sel, K).indices.tolist() == \
+            pool_reference(x, sel, K)
+
+    @pytest.mark.parametrize("seed, n, p, k", [
+        (70, 120, 3, 10),
+        (71, 400, 6, 20),
+        (72, 60, 2, 30),
+    ])
+    def test_oss_exact_zero_coordinates(self, seed, n, p, k):
+        # values in {-1, -1/2, 0, 1/2, 1}: a fifth of the coordinates are
+        # exactly zero, whose sign matches only another zero
+        x = tie_heavy(seed, n, p, levels=2) / 2.0
+        assert (x == 0).mean() > 0.1
+        assert seeding.oss_seed(x, k).indices.tolist() == oss_loop(x, k)
+
+    @pytest.mark.parametrize("seed, p", [(73, 65), (74, 70)])
+    def test_oss_more_than_64_covariates(self, seed, p):
+        # sign codes span two 64-bit words
+        x = tie_heavy(seed, 150, p, levels=2) / 2.0
+        x[:, -1] = np.random.default_rng(seed).uniform(-1, 1, 150)
+        assert seeding.oss_seed(x, 12).indices.tolist() == oss_loop(x, 12)
+
+
+@st.composite
+def pool_case(draw):
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(st.integers(-levels, levels),
+                               min_size=n * p, max_size=n * p)),
+                 dtype=float).reshape(n, p)
+    sel = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    return x, np.array(sel, dtype=np.intp), draw(st.integers(1, 2 * n))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=pool_case())
+def test_pool_invariants(case):
+    x, sel, K = case
+    pool = exchange.candidate_pool(x, sel, K).indices
+    assert np.unique(pool).size == pool.size
+    assert not np.isin(pool, sel).any()
+    assert pool.size <= x.shape[1] * K
+    assert pool.tolist() == pool_reference(x, sel, K)
