@@ -22,6 +22,7 @@ import sys
 import time
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +121,9 @@ def _print_aggregates(report):
 # ---------------------------------------------------------------- select
 
 def _cmd_select(args, outdir):
+    start = time.perf_counter()
     ds = ingest(_ingest_spec_from_args(args))
+    ingest_seconds = time.perf_counter() - start
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     sel, trace, seconds = simulate.select(
         x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
@@ -151,7 +154,8 @@ def _cmd_select(args, outdir):
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return (None, [args.seed], args.input, {"select_seconds": seconds},
+    return (None, [args.seed], args.input,
+            {"ingest_s": ingest_seconds, "select_seconds": seconds},
             ["indices.txt", "report.json"])
 
 
@@ -312,7 +316,10 @@ def _parse_pair(text, columns):
 def _cmd_hull(args, outdir):
     ds = ingest(_ingest_spec_from_args(args))
     try:
-        sel_idx = np.loadtxt(args.selection, dtype=np.intp, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file warns; the check below reports it
+            warnings.simplefilter("ignore", UserWarning)
+            sel_idx = np.loadtxt(args.selection, dtype=np.intp, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read selection {args.selection}: "
                           f"{exc}") from None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,47 +46,34 @@ def _resolve(col, names, what):
                           f"available: {names}") from None
 
 
-def ingest(spec):
-    """Read a delimited file into covariates and an optional response.
-
-    Blank lines are rejected (and counted); a wrong field count or a
-    non-numeric or non-finite cell is a hard error naming the offending
-    location.
-    """
-    rows = []
-    rejected = 0
+def _open(spec):
+    """Check the delimiter and open the file as `csv` expects."""
     if len(spec.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got "
                           f"{spec.delimiter!r}")
     try:
-        fh = open(spec.path, newline="")
+        return open(spec.path, newline="")
     except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise IngestError(f"cannot open {spec.path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
-        for _ in range(spec.skip_rows):
-            next(reader, None)
-        header_names = None
-        if spec.header:
-            header_names = next(reader, None)
-            if header_names is None:
-                raise IngestError(f"{spec.path}: no header row found")
-            header_names = [h.strip() for h in header_names]
-        width = None
-        for line_no, row in enumerate(reader, start=reader.line_num + 1):
-            if not row or all(not c.strip() for c in row):
-                rejected += 1
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise IngestError(
-                    f"{spec.path}:{line_no}: expected {width} fields, "
-                    f"got {len(row)}")
-            rows.append((line_no, row))
-    if not rows:
-        raise IngestError(f"{spec.path}: all rows rejected or file empty")
-    width = len(rows[0][1])
+
+
+def _header(fh, spec):
+    """Skip `skip_rows` rows and read the header: (csv reader, names)."""
+    reader = csv.reader(fh, delimiter=spec.delimiter)
+    for _ in range(spec.skip_rows):
+        next(reader, None)
+    if not spec.header:
+        return reader, None
+    names = next(reader, None)
+    if names is None:
+        raise IngestError(f"{spec.path}: no header row found")
+    return reader, [h.strip() for h in names]
+
+
+def _dataset(spec, header_names, width, n_rejected, read_columns):
+    """The shared tail of both parsers: resolve the columns, read them
+    through `read_columns(used, names)` (covariates, then the response)
+    and apply the log-transforms."""
     names = header_names if header_names is not None \
         else [f"c{j}" for j in range(width)]
     if len(names) != width:
@@ -108,23 +96,7 @@ def ingest(spec):
     log_idx = {_resolve(c, names, "log-transform") for c in spec.log_columns}
 
     used = cov_idx + ([resp_idx] if resp_idx is not None else [])
-    data = np.empty((len(rows), len(used)))
-    for i, (line_no, row) in enumerate(rows):
-        for jj, j in enumerate(used):
-            cell = row[j].strip()
-            try:
-                data[i, jj] = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{spec.path}:{line_no}: non-numeric value {cell!r} "
-                    f"in column {names[j]!r}") from None
-    bad = ~np.isfinite(data)
-    if bad.any():
-        i, jj = np.argwhere(bad)[0]
-        line_no, row = rows[i]
-        raise IngestError(
-            f"{spec.path}:{line_no}: non-finite value "
-            f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
+    data = read_columns(used, names)
     x = data[:, :len(cov_idx)]
     y = data[:, -1] if resp_idx is not None else None
 
@@ -144,4 +116,96 @@ def ingest(spec):
 
     return Dataset(x, y, [names[j] for j in cov_idx],
                    names[resp_idx] if resp_idx is not None else None,
-                   rejected)
+                   n_rejected)
+
+
+def ingest(spec):
+    """Read a delimited file into covariates and an optional response.
+
+    The header and `skip_rows` go through `csv.reader`; `np.loadtxt` then
+    parses the numeric block straight from the open file, with
+    whitespace-only lines dropped and counted as rejected.  If that parse
+    fails, finds no rows or reads a non-finite value, the row-by-row
+    parser `_ingest_rows` reads the file again.  Where both succeed they
+    give the same arrays; the row-by-row parser also accepts cells only
+    `float()` reads (a quoted number, `1_0`, non-ASCII digits), and
+    otherwise raises the error that names the offending line and column.
+    """
+    blank = 0
+
+    def data_lines(fh):
+        nonlocal blank
+        for line in fh:
+            if line.strip():
+                yield line
+            else:
+                blank += 1
+
+    with _open(spec) as fh:
+        try:
+            _, header_names = _header(fh, spec)
+            with warnings.catch_warnings():
+                # a file without data rows warns; the fallback reports it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(data_lines(fh), delimiter=spec.delimiter,
+                                  comments=None, ndmin=2, dtype=float)
+        except (ValueError, TypeError, csv.Error):
+            data = None   # TypeError: a newline delimiter
+    if data is None or not data.size or not np.isfinite(data).all():
+        return _ingest_rows(spec)
+    return _dataset(spec, header_names, data.shape[1], blank,
+                    lambda used, names: data[:, used])
+
+
+def _ingest_rows(spec):
+    """Row-by-row parser: `csv.reader` rows, `float()` on each used cell.
+
+    Blank lines are rejected (and counted); a wrong field count or a
+    non-numeric or non-finite cell is a hard error naming the offending
+    location.
+    """
+    rows = []
+    rejected = 0
+    with _open(spec) as fh:
+        try:
+            reader, header_names = _header(fh, spec)
+            width = None
+            for line_no, row in enumerate(reader,
+                                          start=reader.line_num + 1):
+                if not row or all(not c.strip() for c in row):
+                    rejected += 1
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise IngestError(
+                        f"{spec.path}:{line_no}: expected {width} fields, "
+                        f"got {len(row)}")
+                rows.append((line_no, row))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise IngestError(f"{spec.path}: {exc}") from None
+    if not rows:
+        raise IngestError(f"{spec.path}: all rows rejected or file empty")
+
+    def read_columns(used, names):
+        data = np.empty((len(rows), len(used)))
+        for i, (line_no, row) in enumerate(rows):
+            for jj, j in enumerate(used):
+                cell = row[j].strip()
+                try:
+                    data[i, jj] = float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{spec.path}:{line_no}: non-numeric value "
+                        f"{cell!r} in column {names[j]!r}") from None
+        bad = ~np.isfinite(data)
+        if bad.any():
+            i, jj = np.argwhere(bad)[0]
+            line_no, row = rows[i]
+            raise IngestError(
+                f"{spec.path}:{line_no}: non-finite value "
+                f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
+        return data
+
+    return _dataset(spec, header_names, len(rows[0][1]), rejected,
+                    read_columns)

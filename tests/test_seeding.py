@@ -334,7 +334,7 @@ def pool_case(draw):
     return x, np.array(sel, dtype=np.intp), draw(st.integers(1, 2 * n))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(case=pool_case())
 def test_pool_invariants(case):
     x, sel, K = case
