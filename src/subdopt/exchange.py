@@ -10,9 +10,13 @@ Two variants share one engine:
 
 A slot scan scores every pool row at once by Fedorov's determinant ratio
 a(1 + c) + d^2, computed against M = Q^{-1} and the cached pool quadratic
-forms c_j = z_j^T M z_j (Fedorov 1972; Cook & Nachtsheim 1980).  A slot
-that accepts swaps rebuilds Q, M and c from the new selected rows, so no
-state is carried from one commit to the next and none can drift.
+forms c_j = z_j^T M z_j (Fedorov 1972; Cook & Nachtsheim 1980).  The
+augmented selected rows Z_S and pool rows Z_F are built once and kept for
+the whole exchange.  A slot that accepts swaps exchanges rows between
+them in place and refactors Q = Z_S^T Z_S, M and c from those rows, so
+no state is carried from one commit to the next and none can drift.  If
+the new selection is singular, or its log V is not higher, the swaps are
+undone and the slot is counted as skipped.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMomentError, as_indices, augment, build_moment
+from .linalg import SingularMomentError, as_indices, augment, factor_moment
 from .seeding import Selection, _extremes
 
 #: Relative strict-improvement threshold on the determinant ratio,
@@ -59,7 +63,8 @@ class ExchangeTrace:
     initial_log_v: float = 0.0
     final_log_v: float = 0.0
     accepted_swaps: int = 0
-    #: slots whose accepted chain gave a singular selection and was dropped
+    #: slots whose accepted chain gave a singular selection, or one whose
+    #: log V is not higher, and was undone
     slots_skipped: int = 0
     seconds: float = 0.0
 
@@ -98,22 +103,25 @@ def candidate_pool(x, sel, K):
     return CandidatePool(pool)
 
 
-def _log_v(state, k):
-    """log generalized variance: log det Q minus (p+1) log k."""
-    return state.log_det - state.dim * math.log(k)
+def _scan_state(ZS, ZF):
+    """Everything a slot scan reads, refactored from the augmented rows.
 
-
-def _scan_state(x, idx, F):
-    """Everything a slot scan reads, built from the selected and pool rows.
-
-    Returns the moment state of `idx`, M = Q^{-1}, the augmented selected
-    and pool rows, and the pool quadratic forms c_j = z_j^T M z_j.
+    Returns log V of the selected rows `ZS` (log det Q minus (p+1) log k),
+    M = Q^{-1}, and the quadratic forms c_j = z_j^T M z_j of the pool
+    rows `ZF`.
     """
-    state = build_moment(x, idx)
+    state = factor_moment(ZS.T @ ZS)
     M = np.linalg.inv(state.q)
-    ZF = augment(x[F])
     c = np.einsum("ij,ij->i", ZF @ M, ZF)
-    return state, M, augment(x[idx]), ZF, c
+    return state.log_det - state.dim * math.log(ZS.shape[0]), M, c
+
+
+def _swap_chain(idx, F, ZS, ZF, i, chain):
+    """Swap slot i with each pool position in `chain`, in order, moving
+    both the row indices and the augmented rows."""
+    for w in chain:
+        idx[i], F[w] = F[w], idx[i]
+        ZS[i], ZF[w] = ZF[w], ZS[i].copy()   # ZS[i] is overwritten first
 
 
 def _exchange(x, seed, K, iterations, first_improvement, pool=None):
@@ -124,9 +132,13 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
     if pool is None:
         pool = candidate_pool(x, idx, K)
     F = pool.indices.copy()
-    state, M, ZS, ZF, c = _scan_state(x, idx, F)
+    if k < 1 or np.unique(np.concatenate((idx, F))).size != k + F.size:
+        raise ValueError("selection must be non-empty, with rows distinct "
+                         "from each other and from the pool")
+    ZS, ZF = augment(x[idx]), augment(x[F])
+    log_v, M, c = _scan_state(ZS, ZF)
     trace = ExchangeTrace()
-    trace.initial_log_v = log_v = _log_v(state, k)
+    trace.initial_log_v = log_v
 
     for it in range(iterations):
         accepts = 0
@@ -151,13 +163,17 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
                 continue
             # Chain of committed swaps: each accepted candidate displaces
             # the current occupant into its own pool position.
-            new_idx, new_F = idx.copy(), F.copy()
-            for w in accepted:
-                new_idx[i], new_F[w] = new_F[w], new_idx[i]
+            _swap_chain(idx, F, ZS, ZF, i, accepted)
             try:
-                state, M, ZS, ZF, c = _scan_state(x, new_idx, new_F)
+                new_log_v, new_M, new_c = _scan_state(ZS, ZF)
             except SingularMomentError:
-                trace.slots_skipped += 1   # leave the slot alone
+                new_log_v = -math.inf
+            # A singular selection, or one whose log V is not higher
+            # (scores read off an ill-conditioned M can be wrong), is
+            # undone and the slot left alone.
+            if new_log_v <= log_v:
+                _swap_chain(idx, F, ZS, ZF, i, accepted[::-1])
+                trace.slots_skipped += 1
                 continue
             best = 1.0
             for w in accepted:
@@ -165,8 +181,7 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
                     it, i, w, True, log_v + math.log(best),
                     log_v + math.log(score[w])))
                 best = score[w]
-            idx, F = new_idx, new_F
-            log_v = _log_v(state, k)
+            log_v, M, c = new_log_v, new_M, new_c
             accepts += len(accepted)
         trace.iteration_accepts.append(accepts)
         trace.accepted_swaps += accepts

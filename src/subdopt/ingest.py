@@ -70,16 +70,9 @@ def _header(fh, spec):
     return reader, [h.strip() for h in names]
 
 
-def _dataset(spec, header_names, width, n_rejected, read_columns):
-    """The shared tail of both parsers: resolve the columns, read them
-    through `read_columns(used, names)` (covariates, then the response)
-    and apply the log-transforms."""
-    names = header_names if header_names is not None \
-        else [f"c{j}" for j in range(width)]
-    if len(names) != width:
-        raise IngestError(f"{spec.path}: header has {len(names)} names "
-                          f"but rows have {width} fields")
-
+def _columns(spec, names):
+    """Resolve the covariate, response and log-transform columns against
+    `names`: (covariate indices, response index or None, log indices)."""
     resp_idx = None
     if spec.response is not None:
         resp_idx = _resolve(spec.response, names, "response")
@@ -90,13 +83,23 @@ def _dataset(spec, header_names, width, n_rejected, read_columns):
                 raise IngestError(f"covariate column {names[j]!r} is "
                                   f"listed more than once")
     else:
-        cov_idx = [j for j in range(width) if j != resp_idx]
+        cov_idx = [j for j in range(len(names)) if j != resp_idx]
     if resp_idx is not None and resp_idx in cov_idx:
         raise IngestError("response column also listed as a covariate")
     log_idx = {_resolve(c, names, "log-transform") for c in spec.log_columns}
+    return cov_idx, resp_idx, log_idx
 
-    used = cov_idx + ([resp_idx] if resp_idx is not None else [])
-    data = read_columns(used, names)
+
+def _used(columns):
+    """The columns a parse reads: the covariates, then the response."""
+    cov_idx, resp_idx, _ = columns
+    return cov_idx + ([resp_idx] if resp_idx is not None else [])
+
+
+def _dataset(names, columns, data, n_rejected):
+    """The shared tail of both parsers: split `data` (the `_used` columns)
+    into covariates and response and apply the log-transforms."""
+    cov_idx, resp_idx, log_idx = columns
     x = data[:, :len(cov_idx)]
     y = data[:, -1] if resp_idx is not None else None
 
@@ -124,37 +127,60 @@ def ingest(spec):
 
     The header and `skip_rows` go through `csv.reader`; `np.loadtxt` then
     parses the numeric block straight from the open file, with
-    whitespace-only lines dropped and counted as rejected.  If that parse
-    fails, finds no rows or reads a non-finite value, the row-by-row
-    parser `_ingest_rows` reads the file again.  Where both succeed they
-    give the same arrays; the row-by-row parser also accepts cells only
-    `float()` reads (a quoted number, `1_0`, non-ASCII digits), and
-    otherwise raises the error that names the offending line and column.
+    whitespace-only lines dropped and counted as rejected.  When the
+    header leaves columns unused, only the used ones are parsed, so an
+    unused text column (a row id, say) stays on this path; each line must
+    then split into one field per header name and hold no quote.  If the
+    parse fails, a line fails that check, the field count differs from
+    the header's, or the parse finds no rows or reads a non-finite value,
+    the row-by-row parser `_ingest_rows` reads the file again.  Where
+    both succeed they give the same arrays; the row-by-row parser also
+    accepts cells only `float()` reads (a quoted number, `1_0`, non-ASCII
+    digits), and otherwise raises the error that names the offending line
+    and column.
     """
     blank = 0
+    odd = False
 
-    def data_lines(fh):
-        nonlocal blank
+    def data_lines(fh, width):
+        nonlocal blank, odd
         for line in fh:
-            if line.strip():
-                yield line
-            else:
+            if not line.strip():
                 blank += 1
+            elif width is not None and (
+                    line.count(spec.delimiter) != width - 1 or '"' in line):
+                odd = True   # csv may split it otherwise: let it decide
+                return
+            else:
+                yield line
 
     with _open(spec) as fh:
         try:
-            _, header_names = _header(fh, spec)
+            _, names = _header(fh, spec)
+            width = usecols = None
+            if names is not None:
+                columns = _columns(spec, names)
+                used = _used(columns)
+                if len(used) < len(names):
+                    width, usecols = len(names), used
             with warnings.catch_warnings():
                 # a file without data rows warns; the fallback reports it
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(data_lines(fh), delimiter=spec.delimiter,
-                                  comments=None, ndmin=2, dtype=float)
-        except (ValueError, TypeError, csv.Error):
+                data = np.loadtxt(data_lines(fh, width), usecols=usecols,
+                                  delimiter=spec.delimiter, comments=None,
+                                  ndmin=2, dtype=float)
+        except (ValueError, TypeError, csv.Error, IngestError):
             data = None   # TypeError: a newline delimiter
-    if data is None or not data.size or not np.isfinite(data).all():
+    if odd or data is None or not data.size or not np.isfinite(data).all():
         return _ingest_rows(spec)
-    return _dataset(spec, header_names, data.shape[1], blank,
-                    lambda used, names: data[:, used])
+    if usecols is None:
+        if names is None:
+            names = [f"c{j}" for j in range(data.shape[1])]
+            columns = _columns(spec, names)
+        if len(names) != data.shape[1]:
+            return _ingest_rows(spec)   # it names the mismatch
+        data = data[:, _used(columns)]
+    return _dataset(names, columns, data, blank)
 
 
 def _ingest_rows(spec):
@@ -187,25 +213,29 @@ def _ingest_rows(spec):
     if not rows:
         raise IngestError(f"{spec.path}: all rows rejected or file empty")
 
-    def read_columns(used, names):
-        data = np.empty((len(rows), len(used)))
-        for i, (line_no, row) in enumerate(rows):
-            for jj, j in enumerate(used):
-                cell = row[j].strip()
-                try:
-                    data[i, jj] = float(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{spec.path}:{line_no}: non-numeric value "
-                        f"{cell!r} in column {names[j]!r}") from None
-        bad = ~np.isfinite(data)
-        if bad.any():
-            i, jj = np.argwhere(bad)[0]
-            line_no, row = rows[i]
-            raise IngestError(
-                f"{spec.path}:{line_no}: non-finite value "
-                f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
-        return data
-
-    return _dataset(spec, header_names, len(rows[0][1]), rejected,
-                    read_columns)
+    width = len(rows[0][1])
+    names = header_names if header_names is not None \
+        else [f"c{j}" for j in range(width)]
+    if len(names) != width:
+        raise IngestError(f"{spec.path}: header has {len(names)} names "
+                          f"but rows have {width} fields")
+    columns = _columns(spec, names)
+    used = _used(columns)
+    data = np.empty((len(rows), len(used)))
+    for i, (line_no, row) in enumerate(rows):
+        for jj, j in enumerate(used):
+            cell = row[j].strip()
+            try:
+                data[i, jj] = float(cell)
+            except ValueError:
+                raise IngestError(
+                    f"{spec.path}:{line_no}: non-numeric value "
+                    f"{cell!r} in column {names[j]!r}") from None
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, jj = np.argwhere(bad)[0]
+        line_no, row = rows[i]
+        raise IngestError(
+            f"{spec.path}:{line_no}: non-finite value "
+            f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
+    return _dataset(names, columns, data, rejected)

@@ -2,9 +2,10 @@
 
 Moment matrices here are sums Q = sum_i z_i z_i^T over selected rows,
 where z_i = (1, x_i^T)^T.  `build_moment` assembles Q from the rows and
-factors it once; determinants, single-swap log-det changes and
-trace(Q^{-1}) are read off that Cholesky factor.  Nothing here updates
-a state in place: a changed selection is a new `build_moment`.
+`factor_moment` factors it once, rejecting a singular Q; determinants,
+single-swap log-det changes and trace(Q^{-1}) are read off that Cholesky
+factor.  Nothing here updates a state in place: a changed selection is
+a new factorization.
 """
 
 from __future__ import annotations
@@ -39,6 +40,27 @@ class MomentState:
     log_det: float
 
 
+def factor_moment(q):
+    """Cholesky-factor a moment matrix Q: the `MomentState` of `q`.
+
+    This is the one singularity rule: raises SingularMomentError when the
+    factorization fails or leaves a pivot at rounding-noise scale.
+    """
+    d = q.shape[0]
+    try:
+        chol = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMomentError(f"{d}x{d} moment matrix is singular") \
+            from exc
+    # LAPACK can hand back a rounding-noise pivot for an exactly singular
+    # matrix; reject pivots below the scale of accumulated rounding.
+    dg = chol.diagonal()
+    if (dg * dg).min() <= d * np.finfo(float).eps * q.diagonal().max():
+        raise SingularMomentError(
+            f"{d}x{d} moment matrix is numerically singular")
+    return MomentState(d, q, chol, 2.0 * float(np.log(dg).sum()))
+
+
 def build_moment(x, sel):
     """Assemble the moment matrix of the selected rows and factor it.
 
@@ -50,20 +72,7 @@ def build_moment(x, sel):
     if np.unique(idx).size != idx.size:
         raise ValueError("selection indices must be distinct")
     z = augment(np.asarray(x, dtype=float)[idx])
-    q = z.T @ z
-    try:
-        chol = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMomentError(
-            f"moment matrix of {idx.size} rows is singular") from exc
-    # LAPACK can hand back a rounding-noise pivot for an exactly singular
-    # matrix; reject pivots below the scale of accumulated rounding.
-    tol = q.shape[0] * np.finfo(float).eps * np.max(np.diag(q))
-    if np.any(np.diag(chol) ** 2 <= tol):
-        raise SingularMomentError(
-            f"moment matrix of {idx.size} rows is numerically singular")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return MomentState(q.shape[0], q, chol, log_det)
+    return factor_moment(z.T @ z)
 
 
 def swap_delta_logdet(state, z_out, z_in):

@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from conftest import record_criterion
 from subdopt import cli, exchange, linalg, metrics, seeding, simulate
+
+pytestmark = pytest.mark.acceptance
 
 
 def column(report, method, get):
@@ -32,6 +33,9 @@ def gen_var(x, idx):
 
 def one_sided_less(a, b):
     """p-value for the alternative mean(a) < mean(b), paired."""
+    # imported here: scipy.stats takes about a second to import, and the
+    # fast suite (-m "not acceptance") collects this module only to skip it
+    from scipy import stats
     t, p_two = stats.ttest_rel(a, b)
     return p_two / 2 if t < 0 else 1 - p_two / 2
 

@@ -147,6 +147,31 @@ class TestIngestPaths:
         assert ds.y.tobytes() == ref.y.tobytes()
         assert ds.columns == ref.columns
 
+    def test_unused_text_column_takes_fast_path(self, csv_file, row_parses):
+        lines = csv_file.read_text().splitlines()
+        path = csv_file.parent / "ids.csv"
+        path.write_text("\n".join([f"id,{lines[0]}"] + [
+            f"row-{i},{line}" for i, line in enumerate(lines[1:])]) + "\n")
+        spec = IngestSpec(str(path), response="resp",
+                          covariates=["b", "a", "c"])
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert row_parses == []
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.columns == ref.columns == ["b", "a", "c"]
+        plain = ingest(IngestSpec(str(csv_file), response="resp",
+                                  covariates=["b", "a", "c"]))
+        assert ds.x.tobytes() == plain.x.tobytes()
+
+    def test_quoted_delimiter_falls_back(self, tmp_path, row_parses):
+        # split on commas the short row has one field per header name and
+        # numbers in the used columns; csv reads it as two fields
+        path = tmp_path / "q.csv"
+        path.write_text('id,a,b,c\nr1,1,2,3\n"x,5,y",7\n')
+        with pytest.raises(IngestError, match=":3: expected 4 fields, got 2"):
+            ingest(IngestSpec(str(path), covariates=["a", "c"]))
+        assert len(row_parses) == 1
+
     def test_whitespace_lines_and_crlf(self, tmp_path, row_parses):
         path = tmp_path / "w.csv"
         path.write_bytes(b"u,v\r\n1,2\r\n  \r\n\t\r\n3,4\r\n\r\n")
@@ -204,13 +229,19 @@ ODD_CELLS = st.sampled_from(
     ["1_0", '"4"', "\u0664", "nan", "-inf", "1e999", "0x1", "", " ", "1d5",
      " 2.5 ", "\u00a07", "+.5", "5.", "-0", "1,5", "#3", "1 2", "\x00"])
 LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+TEXT_CELLS = st.sampled_from(
+    ["id7", "r-1", "", "x y", '"a,b"', '"q"', "n/a", "1", "nan", "#"])
 
 
 @st.composite
 def ingest_file(draw):
-    """Text of a small delimited file, and the spec that reads it."""
+    """Text of a small delimited file, and the spec that reads it.
+
+    Some files carry a text column that `covariates` leaves out."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|", "\n"]))
     width = draw(st.integers(1, 3))
+    text_col = draw(st.one_of(st.none(), st.integers(0, width)))
+    total = width + (text_col is not None)
     odd = draw(st.booleans())
     cell = st.one_of(NUMBER_CELLS, ODD_CELLS) if odd else NUMBER_CELLS
     header = draw(st.booleans())
@@ -218,7 +249,7 @@ def ingest_file(draw):
     lines = [draw(st.sampled_from(["junk", "a,b,c", '"a,b",c']))
              for _ in range(skip_rows)]
     if header:
-        lines.append(delimiter.join(f"h{j}" for j in range(width)))
+        lines.append(delimiter.join(f"h{j}" for j in range(total)))
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(
             ["row", "row", "row", "blank", "space", "ragged"]
@@ -229,14 +260,23 @@ def ingest_file(draw):
             lines.append(draw(st.sampled_from(
                 [" ", "\t ", "\u00a0", f" {delimiter} "])))
         else:
-            n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged"
+            n = total + (draw(st.sampled_from([-1, 1])) if kind == "ragged"
                          else 0)
-            lines.append(delimiter.join(draw(cell) for _ in range(n)))
+            cells = [draw(cell) for _ in range(n)]
+            if text_col is not None and text_col < n:
+                cells[text_col] = draw(TEXT_CELLS)
+            lines.append(delimiter.join(cells))
     ending = draw(LINE_ENDINGS)
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
-    response = draw(st.sampled_from([None, 0, width - 1]))
+    response = draw(st.sampled_from([None, 0, total - 1]))
+    covariates = None
+    if text_col is not None:
+        covariates = [j for j in range(total) if j not in (text_col, response)]
+        if header and draw(st.booleans()):
+            covariates = [f"h{j}" for j in covariates]
     return text, dict(delimiter=delimiter, header=header,
-                      skip_rows=skip_rows, response=response)
+                      skip_rows=skip_rows, response=response,
+                      covariates=covariates)
 
 
 def _outcome(parse, spec):
