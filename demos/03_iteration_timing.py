@@ -1,10 +1,11 @@
 """How many first-improvement passes are worth paying for.
 
-Times the first-improvement exchange for increasing iteration counts on
-a fixed grid of (k, K) and reports the mean generalized-variance gain
-over the seed.  Wall time grows roughly linearly with the iteration
-count while the gain saturates: most of the improvement arrives in the
-first few passes.
+Runs the first-improvement exchange once per dataset and (k, K) for the
+largest iteration count, and reads each count m off the run's per-pass
+trace: `mean_s` is the mean time to reach the end of pass m (pool build
+included) and `V gain %` the mean generalized-variance gain over the
+seed after m passes.  Wall time grows roughly linearly with m while the
+gain saturates: most of the improvement arrives in the first few passes.
 """
 
 from subdopt import simulate

@@ -164,10 +164,12 @@ def _cmd_select(args, outdir):
 def _load_json(path):
     def reject(name):   # NaN and Infinity are not JSON
         raise ConfigError(f"{path} is not valid JSON: {name}")
-    try:
-        raw = json.loads(Path(path).read_text(), parse_constant=reject)
-    except OSError as exc:
+    try:   # ValueError: a NUL in the path, or text that is not UTF-8
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    try:
+        raw = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -368,7 +370,7 @@ _COMMANDS = {"select": _cmd_select, "simulate": _cmd_simulate,
 def _outdir(path):
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory: {exc}") from None
     return Path(path)
 

@@ -9,14 +9,19 @@ Two variants share one engine:
   so each slot ends at the best candidate seen; a single pass suffices.
 
 A slot scan scores every pool row at once by Fedorov's determinant ratio
-a(1 + c) + d^2, computed against M = Q^{-1} and the cached pool quadratic
-forms c_j = z_j^T M z_j (Fedorov 1972; Cook & Nachtsheim 1980).  The
-augmented selected rows Z_S and pool rows Z_F are built once and kept for
-the whole exchange.  A slot that accepts swaps exchanges rows between
-them in place and refactors Q = Z_S^T Z_S, M and c from those rows, so
-no state is carried from one commit to the next and none can drift.  If
-the new selection is singular, or its log V is not higher, the swaps are
-undone and the slot is counted as skipped.
+a(1 + c) + d^2 (`swap_scores`), computed against M = Q^{-1} and the
+cached pool quadratic forms c_j = z_j^T M z_j (Fedorov 1972; Cook &
+Nachtsheim 1980).  The augmented selected rows Z_S and pool rows Z_F are
+built once and kept for the whole exchange.  A slot that accepts swaps
+exchanges rows between them in place and refactors Q = Z_S^T Z_S, M and
+c from those rows, so no state is carried from one commit to the next
+and none can drift.  If the new selection is singular, or its log V is
+not higher, the swaps are undone and the slot is counted in
+`slots_singular` or `slots_not_higher`.
+
+The trace records log V and the elapsed time after every pass.  No pass
+reads the pass count, so the first m passes of a longer run are the
+m-pass run, and one run answers every shorter one.
 """
 
 from __future__ import annotations
@@ -47,26 +52,20 @@ class CandidatePool:
 
 
 @dataclass
-class SwapRecord:
-    iteration: int
-    slot: int
-    pool_pos: int
-    accepted: bool
-    log_v_before: float
-    log_v_after: float
-
-
-@dataclass
 class ExchangeTrace:
-    records: list[SwapRecord] = field(default_factory=list)
-    iteration_accepts: list[int] = field(default_factory=list)
+    iteration_accepts: list[int] = field(default_factory=list)  # per pass
+    #: log V after each pass, and seconds from the start of the exchange
+    #: (the pool build included) to the end of each pass; the last is the
+    #: run's time
+    pass_log_v: list[float] = field(default_factory=list)
+    pass_seconds: list[float] = field(default_factory=list)
     initial_log_v: float = 0.0
     final_log_v: float = 0.0
     accepted_swaps: int = 0
-    #: slots whose accepted chain gave a singular selection, or one whose
-    #: log V is not higher, and was undone
-    slots_skipped: int = 0
-    seconds: float = 0.0
+    #: slots whose accepted swaps were undone because the new selection
+    #: was singular, or because its log V was not higher
+    slots_singular: int = 0
+    slots_not_higher: int = 0
 
 
 def candidate_pool(x, sel, K):
@@ -116,6 +115,17 @@ def _scan_state(ZS, ZF):
     return state.log_det - state.dim * math.log(ZS.shape[0]), M, c
 
 
+def swap_scores(M, c, ZF, z_out):
+    """Determinant ratio det(Q - z_out z_out^T + z_j z_j^T) / det Q of
+    swapping z_out for each pool row z_j of `ZF`, given M = Q^{-1} and
+    c_j = z_j^T M z_j: Fedorov's a(1 + c_j) + d_j^2.  The scores share
+    the base Q - z_out z_out^T, so they compare across a whole scan."""
+    u = M @ z_out
+    a = 1.0 - z_out @ u
+    d = ZF @ u
+    return a * (1.0 + c) + d * d
+
+
 def _swap_chain(idx, F, ZS, ZF, i, chain):
     """Swap slot i with each pool position in `chain`, in order, moving
     both the row indices and the augmented rows."""
@@ -140,17 +150,10 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
     trace = ExchangeTrace()
     trace.initial_log_v = log_v
 
-    for it in range(iterations):
+    for _ in range(iterations):
         accepts = 0
         for i in range(k):
-            zo = ZS[i]
-            u = M @ zo
-            a = 1.0 - zo @ u
-            d = ZF @ u
-            # determinant ratio of swapping slot i's occupant for each
-            # candidate; scores share the fixed base Q - zo zo^T, so they
-            # are comparable across the whole scan.
-            score = a * (1.0 + c) + d * d
+            score = swap_scores(M, c, ZF, ZS[i])
             if first_improvement:
                 ok = np.flatnonzero(score > 1.0 + REL_IMPROVEMENT)
                 accepted = [int(ok[0])] if ok.size else []
@@ -167,26 +170,22 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
             try:
                 new_log_v, new_M, new_c = _scan_state(ZS, ZF)
             except SingularMomentError:
-                new_log_v = -math.inf
+                trace.slots_singular += 1
+            else:
+                if new_log_v > log_v:
+                    log_v, M, c = new_log_v, new_M, new_c
+                    accepts += len(accepted)
+                    continue
+                trace.slots_not_higher += 1
             # A singular selection, or one whose log V is not higher
             # (scores read off an ill-conditioned M can be wrong), is
             # undone and the slot left alone.
-            if new_log_v <= log_v:
-                _swap_chain(idx, F, ZS, ZF, i, accepted[::-1])
-                trace.slots_skipped += 1
-                continue
-            best = 1.0
-            for w in accepted:
-                trace.records.append(SwapRecord(
-                    it, i, w, True, log_v + math.log(best),
-                    log_v + math.log(score[w])))
-                best = score[w]
-            log_v, M, c = new_log_v, new_M, new_c
-            accepts += len(accepted)
+            _swap_chain(idx, F, ZS, ZF, i, accepted[::-1])
         trace.iteration_accepts.append(accepts)
         trace.accepted_swaps += accepts
+        trace.pass_log_v.append(log_v)
+        trace.pass_seconds.append(time.perf_counter() - t0)
     trace.final_log_v = log_v
-    trace.seconds = time.perf_counter() - t0
     return Selection(idx, seed.source if hasattr(seed, "source") else
                      "custom"), trace
 

@@ -137,7 +137,8 @@ def ingest(spec):
     both succeed they give the same arrays; the row-by-row parser also
     accepts cells only `float()` reads (a quoted number, `1_0`, non-ASCII
     digits), and otherwise raises the error that names the offending line
-    and column.
+    and column.  A column that does not resolve is reported once the
+    whole block has parsed, so a bad row is still reported first.
     """
     blank = 0
     odd = False
@@ -154,15 +155,20 @@ def ingest(spec):
             else:
                 yield line
 
+    column_error = None
     with _open(spec) as fh:
         try:
             _, names = _header(fh, spec)
             width = usecols = None
             if names is not None:
-                columns = _columns(spec, names)
-                used = _used(columns)
-                if len(used) < len(names):
-                    width, usecols = len(names), used
+                try:
+                    columns = _columns(spec, names)
+                except IngestError as exc:
+                    column_error = exc   # raised once the rows parse
+                else:
+                    used = _used(columns)
+                    if len(used) < len(names):
+                        width, usecols = len(names), used
             with warnings.catch_warnings():
                 # a file without data rows warns; the fallback reports it
                 warnings.simplefilter("ignore", UserWarning)
@@ -179,6 +185,8 @@ def ingest(spec):
             columns = _columns(spec, names)
         if len(names) != data.shape[1]:
             return _ingest_rows(spec)   # it names the mismatch
+        if column_error is not None:
+            raise column_error
         data = data[:, _used(columns)]
     return _dataset(names, columns, data, blank)
 

@@ -2,15 +2,14 @@
 
 Moment matrices here are sums Q = sum_i z_i z_i^T over selected rows,
 where z_i = (1, x_i^T)^T.  `build_moment` assembles Q from the rows and
-`factor_moment` factors it once, rejecting a singular Q; determinants,
-single-swap log-det changes and trace(Q^{-1}) are read off that Cholesky
-factor.  Nothing here updates a state in place: a changed selection is
-a new factorization.
+`factor_moment` factors it once, rejecting a singular Q; the log
+determinant and trace(Q^{-1}) are read off that Cholesky factor.
+Nothing here updates a state in place: a changed selection is a new
+factorization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,30 +72,6 @@ def build_moment(x, sel):
         raise ValueError("selection indices must be distinct")
     z = augment(np.asarray(x, dtype=float)[idx])
     return factor_moment(z.T @ z)
-
-
-def swap_delta_logdet(state, z_out, z_in):
-    """log det after swapping z_out for z_in, minus log det before.
-
-    The determinant ratio a(1 + c) + d^2 comes from two lemma steps, and
-    stays valid when the intermediate (after removal) is singular, since
-    the determinant identity is polynomial.  Inadmissible swaps (z_out
-    not in the state, or a singular result) come back as -inf so callers
-    can reject them uniformly.  The state is not mutated.
-    """
-    L = state.chol
-    u = solve_triangular(L, np.asarray(z_out, dtype=float), lower=True)
-    a = 1.0 - u @ u
-    if a < -1e-9:
-        return -np.inf
-    v = solve_triangular(L, np.asarray(z_in, dtype=float), lower=True)
-    c = v @ v
-    d = u @ v
-    ratio = a * (1.0 + c) + d * d
-    # Ratios at rounding-noise scale are singular results in disguise.
-    if not ratio > 1e-12:
-        return -np.inf
-    return math.log(ratio)
 
 
 def trace_inverse(state):

@@ -350,7 +350,7 @@ class TimingCell:
     k: int
     K: int
     iterations: int
-    mean_seconds: float
+    mean_seconds: float      # from the exchange's start to pass end
     mean_pct_v_gain: float   # percent increase of V over the seed
 
 
@@ -360,8 +360,11 @@ def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
                  seed_method: str = "oss"):
     """Mean exchange wall time and V gain per (k, K, iterations) cell.
 
-    Every cell re-runs the exchange from the same per-repetition data and
-    seed selection, so timings across iteration counts are comparable.
+    Each (k, K, repetition) runs the first-improvement exchange once, for
+    the largest iteration count, and reads every cell off that run's
+    per-pass trace: the first m passes of a run are the m-pass run.  A
+    cell's time is the time from the start of the exchange, pool build
+    included, to the end of pass m.
     """
     if not (ks and Ks and iteration_counts):
         raise ConfigError("timing grid must be nonempty lists")
@@ -379,17 +382,19 @@ def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
     cells = []
     for k in ks:
         for K in Ks:
-            seeds = [select(xs, seed_method, k, K,
-                            rng_seed=rng_seed + rep)[0]
-                     for rep, xs in enumerate(datasets)]
-            for iters in iteration_counts:
-                secs = np.empty(repetitions)
-                gains = np.empty(repetitions)
-                for rep, xs in enumerate(datasets):
-                    _, trace = exchange.alg1(xs, seeds[rep], K, iters)
-                    secs[rep] = trace.seconds
-                    gains[rep] = 100.0 * math.expm1(
-                        trace.final_log_v - trace.initial_log_v)
-                cells.append(TimingCell(k, K, iters, float(secs.mean()),
-                                        float(gains.mean())))
+            # a row per iteration count: each cell's mean then sums a
+            # contiguous vector, in the same order as a 1-d array of reps
+            secs = np.empty((len(iteration_counts), repetitions))
+            gains = np.empty_like(secs)
+            for rep, xs in enumerate(datasets):
+                seed = select(xs, seed_method, k, K,
+                              rng_seed=rng_seed + rep)[0]
+                _, trace = exchange.alg1(xs, seed, K, max(iteration_counts))
+                for j, m in enumerate(iteration_counts):
+                    secs[j, rep] = trace.pass_seconds[m - 1]
+                    gains[j, rep] = 100.0 * math.expm1(
+                        trace.pass_log_v[m - 1] - trace.initial_log_v)
+            cells += [TimingCell(k, K, m, float(secs[j].mean()),
+                                 float(gains[j].mean()))
+                      for j, m in enumerate(iteration_counts)]
     return cells

@@ -226,7 +226,10 @@ def test_criterion_6_kernel_equivalence():
         slot = int(rng.integers(k))
         inbound = int(rng.choice(np.setdiff1d(np.arange(n), idx)))
         z = linalg.augment(x)
-        delta = linalg.swap_delta_logdet(state, z[idx[slot]], z[inbound])
+        # the exchange's own score: M and c refactored from the rows
+        _, M, c = exchange._scan_state(z[idx], z[[inbound]])
+        delta = math.log(
+            exchange.swap_scores(M, c, z[[inbound]], z[idx[slot]])[0])
         new_idx = idx.copy()
         new_idx[slot] = inbound
         rebuilt = linalg.build_moment(x, new_idx)

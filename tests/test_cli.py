@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -68,9 +69,18 @@ class TestIngest:
                            match=rf"bad\.csv:4.*non-finite.*'{cell}'.*'u'"):
             ingest(IngestSpec(str(path)))
 
-    def test_missing_column(self, csv_file):
-        with pytest.raises(IngestError, match="nope"):
-            ingest(IngestSpec(str(csv_file), response="nope"))
+    def test_missing_column(self, csv_file, row_parses):
+        for fields in (dict(response="nope"),
+                       dict(response="resp", covariates=["a", "nope"]),
+                       dict(response="resp", covariates=["a", 7]),
+                       dict(log_columns=["nope"])):
+            spec = IngestSpec(str(csv_file), **fields)
+            with pytest.raises(IngestError, match="nope|7") as got:
+                ingest(spec)
+            assert row_parses == []   # raised without a row-by-row read
+            with pytest.raises(IngestError) as ref:
+                _ingest_rows(spec)
+            assert str(got.value) == str(ref.value)
 
     def test_response_overlap(self, csv_file):
         with pytest.raises(IngestError, match="covariate"):
@@ -105,8 +115,10 @@ class TestIngest:
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("u,v\n1,2\n1,2,3\n")
-        with pytest.raises(IngestError, match=r"r\.csv:3"):
-            ingest(IngestSpec(str(path)))
+        # a bad row is reported before a column name that does not resolve
+        for response in (None, "nope"):
+            with pytest.raises(IngestError, match=r"r\.csv:3"):
+                ingest(IngestSpec(str(path), response=response))
 
     @pytest.mark.parametrize("text, needle", [
         (b"u,v\n1,2\n\xe9,3\n", "can't decode"),
@@ -630,6 +642,105 @@ def test_fuzzed_config_exits_cleanly(fuzz_dir, case):
         rc, err = run_config(command, cfg, workdir)
     assert rc in (cli.EXIT_OK, cli.EXIT_INGEST, cli.EXIT_NUMERIC), err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """Real inputs for the argv fuzz: data, configs, a selection and a
+    manifest, plus `cwd`, where relative `--out` paths land."""
+    root = write_csv(tmp_path_factory.mktemp("argv") / "data.csv").parent
+    for command, cfg in BASE_CONFIGS.items():
+        (root / f"{command}.json").write_text(json.dumps(cfg).replace(
+            '"data.csv"', json.dumps(str(root / "data.csv"))))
+    (root / "sel.txt").write_text("".join(f"{i}\n"
+                                          for i in range(0, 120, 7)))
+    (root / "cwd").mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["select", "--input", str(root / "data.csv"),
+                         "--method", "iboss", "--k", "8",
+                         "--out", str(root / "base")]) == cli.EXIT_OK
+    return root
+
+
+# A valid argv per command; "@name" stands for argv_dir / name.
+BASE_ARGV = [
+    ["select", "--input", "@data.csv", "--response", "resp", "--method",
+     "alg1", "--k", "12", "--K", "4", "--out", "@out"],
+    ["simulate", "--config", "@simulate.json", "--out", "@out"],
+    ["bootstrap", "--config", "@bootstrap.json", "--out", "@out"],
+    ["timing", "--config", "@timing.json", "--out", "@out"],
+    ["hull", "--input", "@data.csv", "--response", "resp", "--selection",
+     "@sel.txt", "--pairs", "0,1", "--out", "@out"],
+    ["replay", "@base/manifest.json", "@out"],
+]
+# Replacement tokens by kind (commands and flags, paths, other values), so
+# that a path is mostly replaced by a path and a value by a value.  Numbers
+# stay small, so that no run is long.
+ARGV_FLAGS = [
+    "select", "simulate", "bootstrap", "timing", "hull", "replay",
+    "--input", "--delimiter", "--no-header", "--response", "--covariates",
+    "--skip-rows", "--log-columns", "--method", "--k", "--K",
+    "--iterations", "--seed", "--seed-method", "--out", "--config",
+    "--selection", "--pairs", "--svg", "--version", "--help",
+    "-", "--", "--nope", "-k", "--k=12"]
+ARGV_PATHS = [
+    "@data.csv", "@sel.txt", "@simulate.json", "@timing.json",
+    "@bootstrap.json", "@base/manifest.json", "@base", "@out", "@missing",
+    "", "nope", "\x00", "x/y"]
+ARGV_VALUES = [
+    "resp", "a", "a,c", "9,3", "1,2", "oss", "iboss", "uniform", "valg1",
+    "1", "3", "120", "-1", "0", ";", "\t", "nope", "1e9", "NaN", "\x00",
+    "\u00e9", ",", "a,", ""]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A valid argv with up to three edits, or now and then a run of random
+    tokens.  Most edits replace a path or a value by one of its kind, so
+    that the argv still parses and the command runs on odd input."""
+    anything = st.sampled_from(ARGV_FLAGS + ARGV_PATHS + ARGV_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(anything, max_size=8))
+    argv = list(draw(st.sampled_from(BASE_ARGV)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["value"] * 4 + ["flag", "drop", "insert"]))
+        if op == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(anything))
+            continue
+        values = [i for i, a in enumerate(argv)
+                  if a not in ARGV_FLAGS and not a.startswith("-")]
+        pos = draw(st.sampled_from(values if op == "value" and values
+                                   else range(len(argv))))
+        if op == "drop":
+            del argv[pos]
+        elif op == "flag":
+            argv[pos] = draw(st.sampled_from(ARGV_FLAGS))
+        else:
+            argv[pos] = draw(st.sampled_from(
+                ARGV_PATHS if argv[pos].startswith("@") else ARGV_VALUES))
+    return argv
+
+
+@settings(max_examples=100)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(argv_dir, argv):
+    argv = [str(argv_dir / a[1:]) if a.startswith("@") else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_dir / "cwd")
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:   # argparse: usage, --help
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INGEST,
+                  cli.EXIT_NUMERIC), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestHullCommand:

@@ -59,6 +59,50 @@ class TestCandidatePool:
         assert list(pool.indices) == [1, 3, 4, 2]
 
 
+def scores(zs, zf, z_out):
+    """The exchange's swap scores of z_out against the pool rows `zf`,
+    with M and c refactored from the selected augmented rows `zs`."""
+    _, M, c = exchange._scan_state(zs, zf)
+    return exchange.swap_scores(M, c, zf, z_out)
+
+
+class TestSwapScores:
+    def test_identity_swap_scores_one(self):
+        rng = np.random.default_rng(2)
+        z = linalg.augment(rng.standard_normal((8, 3)))
+        assert scores(z, z[[0]], z[0])[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_by_two_oracle(self):
+        # S = {-1, +1}; swap out (1, +1) for (1, +2).
+        z = linalg.augment(np.array([[-1.0], [1.0]]))
+        score = scores(z, np.array([[1.0, 2.0]]), np.array([1.0, 1.0]))
+        assert score[0] == pytest.approx(9.0 / 4.0, rel=1e-12)
+
+    def test_matches_full_rebuild(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            p = int(rng.integers(1, 6))
+            k = int(rng.integers(p + 2, 21))
+            x = rng.standard_normal((k + 5, p))
+            sel = np.arange(k)
+            z = linalg.augment(x)
+            out = int(rng.integers(0, k))
+            inn = k + int(rng.integers(0, 5))
+            delta = math.log(scores(z[sel], z[[inn]], z[out])[0])
+            new_sel = sel.copy()
+            new_sel[out] = inn
+            expected = linalg.build_moment(x, new_sel).log_det - \
+                linalg.build_moment(x, sel).log_det
+            assert delta == pytest.approx(expected, rel=1e-8, abs=1e-8)
+
+    def test_singular_swap_is_never_accepted(self):
+        # Removing one of the two rows leaves rank 1; adding the zero
+        # vector cannot restore it, so the swap must not clear the bar.
+        z = linalg.augment(np.array([[1.0], [2.0]]))
+        score = scores(z, np.zeros((1, 2)), np.array([1.0, 2.0]))
+        assert score[0] <= 1.0 + exchange.REL_IMPROVEMENT
+
+
 class TestAlg1:
     def hand_instance(self):
         x = np.array([0.1, 0.2, -5.0, 5.0, 0.3]).reshape(-1, 1)
@@ -70,12 +114,12 @@ class TestAlg1:
         assert set(sel.indices) == {2, 3}
         assert trace.initial_log_v == pytest.approx(math.log(0.0025))
         assert trace.final_log_v == pytest.approx(math.log(25.0))
-        assert trace.accepted_swaps == 2
-        # slot 0 accepted pool position 0 (-5); slot 1 rejected the
-        # displaced 0.1 and accepted pool position 1 (5)
-        assert [(r.slot, r.pool_pos) for r in trace.records] == [(0, 0),
-                                                                 (1, 1)]
-        assert math.exp(trace.records[0].log_v_after) == pytest.approx(6.76)
+        assert trace.accepted_swaps == 2 and trace.iteration_accepts == [2]
+        assert trace.pass_log_v == [trace.final_log_v]
+        # the pool is rows [2, 3] (-5, 5): slot 0 accepted pool position 0
+        # (-5); slot 1 rejected the displaced 0.1 and accepted pool
+        # position 1 (5)
+        assert list(sel.indices) == [2, 3]
 
     def test_second_iteration_is_noop(self):
         x, seed = self.hand_instance()
@@ -83,6 +127,19 @@ class TestAlg1:
         sel2, tr2 = exchange.alg1(x, seed, 2, iterations=2)
         np.testing.assert_array_equal(sel1.indices, sel2.indices)
         assert tr2.iteration_accepts == [2, 0]
+
+    def test_shorter_run_is_a_prefix(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((80, 3))
+        seed = seeding.uniform_seed(x, 10, 0)
+        _, long = exchange.alg1(x, seed, 6, iterations=4)
+        assert len(long.pass_log_v) == len(long.pass_seconds) == 4
+        assert 0 < long.pass_seconds[0] <= long.pass_seconds[-1]
+        assert long.pass_seconds == sorted(long.pass_seconds)
+        for m in range(1, 4):
+            _, short = exchange.alg1(x, seed, 6, iterations=m)
+            assert short.pass_log_v == long.pass_log_v[:m]
+            assert short.iteration_accepts == long.iteration_accepts[:m]
 
     def test_fixed_point(self):
         # seed already holds the extreme rows: no swap can improve
@@ -103,11 +160,11 @@ class TestAlg1:
 
         monkeypatch.setattr(exchange, "factor_moment", flaky)
         sel, trace = exchange.alg1(x, seed, 2, iterations=1)
-        assert trace.slots_skipped == 1
-        # slot 0 kept 0.1; slot 1 then swapped 0.2 for -5
+        assert (trace.slots_singular, trace.slots_not_higher) == (1, 0)
+        # slot 0 kept 0.1; slot 1 then swapped 0.2 for pool position 0 (-5)
         assert list(sel.indices) == [0, 2]
-        assert trace.accepted_swaps == 1
-        assert [(r.slot, r.pool_pos) for r in trace.records] == [(1, 0)]
+        assert trace.accepted_swaps == 1 and trace.iteration_accepts == [1]
+        assert trace.pass_log_v == [trace.final_log_v]
         # the undo restored the selected and pool rows: the reported log V
         # is the rebuilt selection's, bit for bit
         state = linalg.build_moment(x, sel)
@@ -124,7 +181,8 @@ class TestAlg1:
         sel, trace = getattr(exchange, method)(x, seed, 4)
         assert list(sel.indices) == [1, 3, 4]
         assert trace.final_log_v == trace.initial_log_v
-        assert trace.accepted_swaps == 0 and trace.slots_skipped > 0
+        assert trace.accepted_swaps == 0 and trace.slots_not_higher > 0
+        assert trace.slots_singular == 0
 
     def test_never_degrades(self):
         rng = np.random.default_rng(1)
@@ -141,10 +199,14 @@ class TestAlg1:
         x = rng.standard_normal((60, 3))
         seed = seeding.uniform_seed(x, 10, 0)
         _, trace = exchange.alg1(x, seed, 6, iterations=3)
-        seq = [trace.initial_log_v]
-        for r in trace.records:
-            seq.append(r.log_v_after)
-        assert all(b > a for a, b in zip(seq, seq[1:]))
+        assert trace.iteration_accepts[0] > 0
+        seq = [trace.initial_log_v] + trace.pass_log_v
+        # a pass that commits raises log V; one that commits nothing
+        # leaves it as it was
+        for before, after, accepts in zip(seq, seq[1:],
+                                          trace.iteration_accepts):
+            assert after > before if accepts else after == before
+        assert trace.final_log_v == trace.pass_log_v[-1]
 
     def test_conservation(self):
         rng = np.random.default_rng(3)
@@ -165,7 +227,8 @@ class TestAlg1:
         a = exchange.alg1(x, seed, 6, iterations=3)
         b = exchange.alg1(x, seed, 6, iterations=3)
         np.testing.assert_array_equal(a[0].indices, b[0].indices)
-        assert a[1].records == b[1].records
+        assert a[1].iteration_accepts == b[1].iteration_accepts
+        assert a[1].pass_log_v == b[1].pass_log_v
 
 
 class TestValg1:

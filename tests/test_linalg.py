@@ -40,49 +40,6 @@ class TestBuildMoment:
         np.testing.assert_allclose(st.chol @ st.chol.T, st.q, rtol=1e-8)
 
 
-class TestSwapDeltaLogdet:
-    def test_identity_swap_is_zero(self):
-        rng = np.random.default_rng(2)
-        x, st = random_state(rng, 3, 8)
-        z = linalg.augment(x[[0]])[0]
-        assert linalg.swap_delta_logdet(st, z, z) == pytest.approx(0.0,
-                                                                   abs=1e-12)
-
-    def test_two_by_two_oracle(self):
-        # S = {-1, +1}; swap out (1, +1) for (1, +2).
-        x = np.array([[-1.0], [1.0]])
-        st = linalg.build_moment(x, [0, 1])
-        delta = linalg.swap_delta_logdet(
-            st, np.array([1.0, 1.0]), np.array([1.0, 2.0]))
-        assert delta == pytest.approx(math.log(9.0 / 4.0), rel=1e-12)
-
-    def test_matches_full_rebuild(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            p = int(rng.integers(1, 6))
-            k = int(rng.integers(p + 2, 21))
-            x = rng.standard_normal((k + 5, p))
-            sel = np.arange(k)
-            st = linalg.build_moment(x, sel)
-            out = int(rng.integers(0, k))
-            inn = k + int(rng.integers(0, 5))
-            delta = linalg.swap_delta_logdet(
-                st, linalg.augment(x[[out]])[0], linalg.augment(x[[inn]])[0])
-            new_sel = sel.copy()
-            new_sel[out] = inn
-            expected = linalg.build_moment(x, new_sel).log_det - st.log_det
-            assert delta == pytest.approx(expected, rel=1e-8, abs=1e-8)
-
-    def test_singular_removal_is_neg_inf(self):
-        # Removing one of the two rows leaves rank 1; adding the zero
-        # vector cannot restore it, so the swap is inadmissible.
-        x = np.array([[1.0], [2.0]])
-        st = linalg.build_moment(x, [0, 1])
-        delta = linalg.swap_delta_logdet(
-            st, np.array([1.0, 2.0]), np.zeros(2))
-        assert delta == -np.inf
-
-
 class TestLogDetTraceInverse:
     def test_diagonal(self):
         st = linalg.MomentState(2, np.diag([2.0, 4.0]),

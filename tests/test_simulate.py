@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from subdopt import linalg, metrics, seeding, simulate
+from subdopt import exchange, linalg, metrics, seeding, simulate
 from subdopt.simulate import (ConfigError, ExperimentConfig, ModelParams,
                               OutlierSpec)
 
@@ -221,6 +223,33 @@ class TestTimingStudy:
         cells = simulate.timing_study([8, 10], [4], [1, 2], n=150, p=2,
                                       repetitions=2, rng_seed=1)
         assert len(cells) == 4
+
+    def test_cells_match_fresh_runs(self):
+        # every cell is read off one run of the largest count; it must
+        # equal the cell computed from a fresh run of exactly m passes
+        counts = [4, 1, 2, 6]
+        kw = dict(n=300, p=3, rho=0.5, repetitions=3, rng_seed=5)
+        cells = simulate.timing_study([12, 20], [6, 10], counts, **kw)
+        assert [(c.k, c.K, c.iterations) for c in cells] == [
+            (k, K, m) for k in (12, 20) for K in (6, 10) for m in counts]
+        datasets = [seeding.scale_to_unit_cube(simulate.gen_mvn_equicorr(
+            300, 3, 0.5, 5 + rep))[0] for rep in range(3)]
+        for cell in cells:
+            gains = []
+            for rep, xs in enumerate(datasets):
+                seed = seeding.oss_seed(xs, cell.k)
+                _, trace = exchange.alg1(xs, seed, cell.K, cell.iterations)
+                gains.append(100.0 * math.expm1(
+                    trace.final_log_v - trace.initial_log_v))
+            assert cell.mean_pct_v_gain == np.mean(gains)
+        # the passes after the first still gain somewhere, so an
+        # off-by-one in the pass index would show
+        by_m = {m: [c.mean_pct_v_gain for c in cells if c.iterations == m]
+                for m in counts}
+        assert by_m[2] != by_m[1]
+        for k, K in ((12, 6), (12, 10), (20, 6), (20, 10)):
+            secs = [c.mean_seconds for c in cells if (c.k, c.K) == (k, K)]
+            assert secs[1] <= secs[2] <= secs[0] <= secs[3]
 
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
