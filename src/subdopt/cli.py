@@ -280,7 +280,8 @@ def _cmd_timing(args, outdir):
     for c in cells:
         print(f"{c.k:>4} {c.K:>4} {c.iterations:>6} "
               f"{c.mean_seconds:>10.4f} {c.mean_pct_v_gain:>10.2f}")
-    return raw, [kw["rng_seed"]], None, timings, ["report.json"]
+    return (raw, [kw["rng_seed"] + r for r in range(kw["repetitions"])],
+            None, timings, ["report.json"])
 
 
 # ------------------------------------------------------------------ hull

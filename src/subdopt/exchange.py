@@ -41,17 +41,6 @@ REL_IMPROVEMENT = 1e-12
 
 
 @dataclass
-class CandidatePool:
-    indices: np.ndarray      # distinct row indices, in construction order
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.intp)
-
-    def __len__(self):
-        return int(self.indices.size)
-
-
-@dataclass
 class ExchangeTrace:
     iteration_accepts: list[int] = field(default_factory=list)  # per pass
     #: log V after each pass, and seconds from the start of the exchange
@@ -69,7 +58,8 @@ class ExchangeTrace:
 
 
 def candidate_pool(x, sel, K):
-    """Extreme rows per covariate among the unselected data.
+    """Extreme rows per covariate among the unselected data, as a
+    `Selection` of distinct rows in construction order.
 
     For each covariate in order: the K/2 smallest rows (ascending), then
     the K/2 largest (ascending, maximum last).  Odd K gives the large end
@@ -99,7 +89,7 @@ def candidate_pool(x, sel, K):
     stacked = np.concatenate(parts)
     _, first = np.unique(stacked, return_index=True)
     pool = stacked[np.sort(first)]
-    return CandidatePool(pool)
+    return Selection(pool)
 
 
 def _scan_state(ZS, ZF):
@@ -186,21 +176,16 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
         trace.pass_log_v.append(log_v)
         trace.pass_seconds.append(time.perf_counter() - t0)
     trace.final_log_v = log_v
-    return Selection(idx, seed.source if hasattr(seed, "source") else
-                     "custom"), trace
+    return Selection(idx), trace
 
 
 def alg1(x, seed, K, iterations=5, pool=None):
     """First-improvement exchange, Step 3 repeated `iterations` times."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    sel, trace = _exchange(x, seed, K, iterations, True, pool=pool)
-    sel.source = "alg1"
-    return sel, trace
+    return _exchange(x, seed, K, iterations, True, pool=pool)
 
 
 def valg1(x, seed, K, pool=None):
     """Scan-all greedy-chain exchange; a single pass over the slots."""
-    sel, trace = _exchange(x, seed, K, 1, False, pool=pool)
-    sel.source = "valg1"
-    return sel, trace
+    return _exchange(x, seed, K, 1, False, pool=pool)

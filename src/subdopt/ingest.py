@@ -47,10 +47,12 @@ def _resolve(col, names, what):
 
 
 def _open(spec):
-    """Check the delimiter and open the file as `csv` expects."""
+    """Check the delimiter and skip_rows; open the file as `csv` expects."""
     if len(spec.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got "
                           f"{spec.delimiter!r}")
+    if spec.skip_rows < 0:
+        raise IngestError(f"skip_rows must be >= 0, got {spec.skip_rows}")
     try:
         return open(spec.path, newline="")
     except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
@@ -122,44 +124,48 @@ def _dataset(names, columns, data, n_rejected):
                    n_rejected)
 
 
+def _skip(cell):
+    """The `np.loadtxt` converter of a column the spec leaves unused."""
+    return 0.0
+
+
 def ingest(spec):
     """Read a delimited file into covariates and an optional response.
 
-    The header and `skip_rows` go through `csv.reader`; `np.loadtxt` then
-    parses the numeric block straight from the open file, with
-    whitespace-only lines dropped and counted as rejected.  When the
-    header leaves columns unused, only the used ones are parsed, so an
-    unused text column (a row id, say) stays on this path; each line must
-    then split into one field per header name and hold no quote.  If the
-    parse fails, a line fails that check, the field count differs from
-    the header's, or the parse finds no rows or reads a non-finite value,
-    the row-by-row parser `_ingest_rows` reads the file again.  Where
-    both succeed they give the same arrays; the row-by-row parser also
-    accepts cells only `float()` reads (a quoted number, `1_0`, non-ASCII
-    digits), and otherwise raises the error that names the offending line
-    and column.  A column that does not resolve is reported once the
-    whole block has parsed, so a bad row is still reported first.
+    The header and `skip_rows` go through `csv.reader`; one `np.loadtxt`
+    call then parses the numeric block from the open file, splitting
+    quoted fields as `csv` does (a quoted `"4"` reads as 4) and skipping
+    the header columns the spec leaves unused (a text id, say).
+    Whitespace-only lines are dropped and counted as rejected.  The
+    row-by-row parser `_ingest_rows` reads the file instead if a line is
+    longer than `csv.field_size_limit()` or holds an odd number of quotes
+    (a quoted field that runs past the line, where `csv` would count a
+    blank line inside it differently), or if the parse fails, finds no
+    rows, reads a non-finite value or a field count other than the
+    header's.  Where both succeed they give the same arrays; the row
+    parser also reads cells only `float()` reads (`1_0`, non-ASCII
+    digits), and otherwise raises the error naming the offending line and
+    column.  A column that does not resolve is reported once the whole
+    block has parsed, so a bad row is still reported first.
     """
     blank = 0
-    odd = False
+    limit = csv.field_size_limit()
 
-    def data_lines(fh, width):
-        nonlocal blank, odd
+    def data_lines(fh):
+        nonlocal blank
         for line in fh:
             if not line.strip():
                 blank += 1
-            elif width is not None and (
-                    line.count(spec.delimiter) != width - 1 or '"' in line):
-                odd = True   # csv may split it otherwise: let it decide
-                return
+            elif len(line) > limit or ('"' in line and line.count('"') % 2):
+                raise ValueError("csv decides this line")
             else:
                 yield line
 
     column_error = None
+    unused = {}
     with _open(spec) as fh:
         try:
             _, names = _header(fh, spec)
-            width = usecols = None
             if names is not None:
                 try:
                     columns = _columns(spec, names)
@@ -167,28 +173,26 @@ def ingest(spec):
                     column_error = exc   # raised once the rows parse
                 else:
                     used = _used(columns)
-                    if len(used) < len(names):
-                        width, usecols = len(names), used
+                    unused = {j: _skip for j in range(len(names))
+                              if j not in used}
             with warnings.catch_warnings():
                 # a file without data rows warns; the fallback reports it
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(data_lines(fh, width), usecols=usecols,
-                                  delimiter=spec.delimiter, comments=None,
-                                  ndmin=2, dtype=float)
+                data = np.loadtxt(data_lines(fh), converters=unused,
+                                  quotechar='"', delimiter=spec.delimiter,
+                                  comments=None, ndmin=2, dtype=float)
         except (ValueError, TypeError, csv.Error, IngestError):
-            data = None   # TypeError: a newline delimiter
-    if odd or data is None or not data.size or not np.isfinite(data).all():
+            data = None   # TypeError: a newline or quote delimiter
+    if data is None or not data.size or not np.isfinite(data).all():
         return _ingest_rows(spec)
-    if usecols is None:
-        if names is None:
-            names = [f"c{j}" for j in range(data.shape[1])]
-            columns = _columns(spec, names)
-        if len(names) != data.shape[1]:
-            return _ingest_rows(spec)   # it names the mismatch
-        if column_error is not None:
-            raise column_error
-        data = data[:, _used(columns)]
-    return _dataset(names, columns, data, blank)
+    if names is None:
+        names = [f"c{j}" for j in range(data.shape[1])]
+        columns = _columns(spec, names)
+    if len(names) != data.shape[1]:
+        return _ingest_rows(spec)   # it names the mismatch
+    if column_error is not None:
+        raise column_error
+    return _dataset(names, columns, data[:, _used(columns)], blank)
 
 
 def _ingest_rows(spec):

@@ -18,8 +18,7 @@ class ConstantColumnError(Exception):
 
 @dataclass
 class Selection:
-    indices: np.ndarray
-    source: str = "custom"
+    indices: np.ndarray      # row indices into the data
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.intp)
@@ -28,14 +27,9 @@ class Selection:
         return int(self.indices.size)
 
 
-@dataclass
-class ScalingParams:
-    lo: np.ndarray   # per-column minimum
-    hi: np.ndarray   # per-column maximum
-
-
 def scale_to_unit_cube(x):
-    """Affinely map every column onto [-1, 1]; returns the inverse params."""
+    """Affinely map every column onto [-1, 1]: (scaled, (lo, hi)), with
+    lo and hi the per-column minimum and maximum."""
     x = np.asarray(x, dtype=float)
     lo = x.min(axis=0)
     hi = x.max(axis=0)
@@ -47,7 +41,7 @@ def scale_to_unit_cube(x):
     scaled *= 2.0
     scaled /= hi - lo
     scaled -= 1.0
-    return scaled, ScalingParams(lo, hi)
+    return scaled, (lo, hi)
 
 
 def uniform_seed(x, k, rng_seed):
@@ -57,7 +51,7 @@ def uniform_seed(x, k, rng_seed):
         raise ValueError(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(rng_seed)
     idx = rng.choice(n, size=k, replace=False)
-    return Selection(idx, "uniform")
+    return Selection(idx)
 
 
 def _smallest(vals, m):
@@ -121,7 +115,7 @@ def iboss_seed(x, k):
             take = _extremes(vals, m, taken)
             chosen.append(take)
             taken[take] = True
-    return Selection(np.concatenate(chosen), "iboss")
+    return Selection(np.concatenate(chosen))
 
 
 def _pack(bits):
@@ -186,4 +180,4 @@ def oss_seed(x, k):
         j = int(np.argmin(loss))
         chosen[i] = ids[j]
         ids, loss = np.delete(ids, j), np.delete(loss, j)
-    return Selection(chosen, "oss")
+    return Selection(chosen)

@@ -123,8 +123,9 @@ class TestIngest:
     @pytest.mark.parametrize("text, needle", [
         (b"u,v\n1,2\n\xe9,3\n", "can't decode"),
         (b"u,v\n1,2\n" + b"1" * 200_000 + b",3\n", "field limit"),
+        (b"u,v\n1,2\n" + b"0" * 200_000 + b",3\n", "field limit"),
         (b"u" * 200_000 + b",v\n1,2\n", "field limit"),
-    ], ids=["not-utf8", "huge-cell", "huge-header"])
+    ], ids=["not-utf8", "huge-cell", "huge-zero-cell", "huge-header"])
     def test_unreadable_text_is_ingest_error(self, tmp_path, text, needle):
         path = tmp_path / "l.csv"
         path.write_bytes(text)
@@ -174,6 +175,34 @@ class TestIngestPaths:
         plain = ingest(IngestSpec(str(csv_file), response="resp",
                                   covariates=["b", "a", "c"]))
         assert ds.x.tobytes() == plain.x.tobytes()
+
+    def test_quoted_id_column_takes_fast_path(self, csv_file, row_parses):
+        # quoted ids hold the delimiter and quotes; a used cell is quoted
+        lines = csv_file.read_text().splitlines()
+        path = csv_file.parent / "qids.csv"
+        path.write_text("\n".join([f"id,{lines[0]}"] + [
+            f'"row {i}, ""{i}""",{line}' for i, line in enumerate(lines[1:])]
+            + ['"last",1,2,3,"4"']) + "\n")
+        spec = IngestSpec(str(path), response="resp",
+                          covariates=["b", "a", "c"])
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert row_parses == []
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.columns == ref.columns == ["b", "a", "c"]
+        assert (ds.x[-1].tolist(), ds.y[-1]) == ([2.0, 1.0, 3.0], 4.0)
+
+    def test_quoted_cell_across_lines_falls_back(self, tmp_path, row_parses):
+        # a blank line inside a quoted field is part of the field, not a
+        # rejected row
+        path = tmp_path / "m.csv"
+        path.write_text('id,u,v\n"a\n\nb",1,2\n\n"c",3,4\n')
+        spec = IngestSpec(str(path), covariates=["u", "v"])
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert len(row_parses) == 1
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.n_rejected == ref.n_rejected == 1
 
     def test_quoted_delimiter_falls_back(self, tmp_path, row_parses):
         # split on commas the short row has one field per header name and
@@ -237,20 +266,27 @@ NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-1e3, 1e3).map(lambda v: f"{v:.17g}"),
     st.floats(1e-300, 1e300).map(lambda v: f"{v:.3e}"))
+MALFORMED_QUOTES = ['"4', 'a"b', '"a"b', '""', '""4""']
 ODD_CELLS = st.sampled_from(
     ["1_0", '"4"', "\u0664", "nan", "-inf", "1e999", "0x1", "", " ", "1d5",
-     " 2.5 ", "\u00a07", "+.5", "5.", "-0", "1,5", "#3", "1 2", "\x00"])
+     " 2.5 ", "\u00a07", "+.5", "5.", "-0", "1,5", "#3", "1 2", "\x00"]
+    + MALFORMED_QUOTES)
 LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 TEXT_CELLS = st.sampled_from(
-    ["id7", "r-1", "", "x y", '"a,b"', '"q"', "n/a", "1", "nan", "#"])
+    ["id7", "r-1", "", "x y", '"a,b"', '"q"', "n/a", "1", "nan", "#"]
+    + MALFORMED_QUOTES)
 
 
 @st.composite
 def ingest_file(draw):
     """Text of a small delimited file, and the spec that reads it.
 
-    Some files carry a text column that `covariates` leaves out."""
+    Some files carry a text column that `covariates` leaves out; its
+    quoted cells may hold the delimiter, a line ending or a blank line."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|", "\n"]))
+    ending = draw(LINE_ENDINGS)
+    text_cell = st.one_of(TEXT_CELLS, st.sampled_from(
+        [f'"x{delimiter}y"', f'"x{ending}y"', f'"x{ending}{ending}y"']))
     width = draw(st.integers(1, 3))
     text_col = draw(st.one_of(st.none(), st.integers(0, width)))
     total = width + (text_col is not None)
@@ -276,9 +312,8 @@ def ingest_file(draw):
                          else 0)
             cells = [draw(cell) for _ in range(n)]
             if text_col is not None and text_col < n:
-                cells[text_col] = draw(TEXT_CELLS)
+                cells[text_col] = draw(text_cell)
             lines.append(delimiter.join(cells))
-    ending = draw(LINE_ENDINGS)
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
     response = draw(st.sampled_from([None, 0, total - 1]))
     covariates = None
@@ -372,9 +407,11 @@ class TestSelectCommand:
         ["--method", "oss", "--k", "5", "--delimiter", ""],
         ["--method", "oss", "--k", "5", "--out", "data.csv"],
         ["--method", "oss", "--k", "5", "--covariates", "a,a"],
+        ["--method", "oss", "--k", "5", "--skip-rows", "-1"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
             "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
-            "delimiter-empty", "out-is-a-file", "covariate-repeated"])
+            "delimiter-empty", "out-is-a-file", "covariate-repeated",
+            "skip-rows-negative"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
         # also bad delimiters and an --out that names an existing file
@@ -563,6 +600,8 @@ def run_config(command, cfg, workdir):
     ("bootstrap", {"B": "2"}, "B must be an integer"),
     ("bootstrap", {"input": {"path": "data.csv", "skip_rows": "1"}},
      "input.skip_rows must be an integer"),
+    ("bootstrap", {"input": {"path": "data.csv", "skip_rows": -1}},
+     "skip_rows must be >= 0, got -1"),
     ("bootstrap", {"input": {"path": "data.csv", "log_columns": None}},
      "input.log_columns must be a list"),
     ("bootstrap", {"input": {"path": "data.csv", "delimiter": ""}},
@@ -580,6 +619,7 @@ def run_config(command, cfg, workdir):
         "simulate-seed-negative", "timing-rho-string", "timing-rho-2",
         "timing-seed-string", "timing-seed-method-alg1",
         "bootstrap-B-string", "bootstrap-skip-rows-string",
+        "bootstrap-skip-rows-negative",
         "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
         "bootstrap-covariates-string", "bootstrap-covariate-repeated"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
@@ -588,6 +628,18 @@ def test_bad_config_is_config_error(tmp_path, command, change, needle):
                          tmp_path)
     assert rc == cli.EXIT_INGEST
     assert err.startswith("error:") and needle in err, err
+
+
+@pytest.mark.parametrize("command", sorted(BASE_CONFIGS))
+def test_manifest_lists_every_rng_seed(tmp_path, command):
+    # repetition (or resample) r runs on rng_seed + r
+    write_csv(tmp_path / "data.csv")
+    cfg = {**BASE_CONFIGS[command], "rng_seed": 5}
+    rc, err = run_config(command, cfg, tmp_path)
+    assert rc == cli.EXIT_OK, err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    count = cfg["B"] if command == "bootstrap" else cfg["repetitions"]
+    assert manifest["rng_seeds"] == [5 + r for r in range(count)]
 
 
 @pytest.fixture(scope="module")
