@@ -1,12 +1,13 @@
 """Command-line surface: select, simulate, bootstrap, timing, hull, replay.
 
-This module is where outside input is checked.  `main` parses argv and
-runs every command the same way: it creates `--out`, runs the command and
-writes a manifest next to the outputs (tool version, the argv as given,
-the loaded config JSON of a `--config` command, rng seeds, input checksum,
-wall-clock timings, output checksums).  Config JSON is type-checked
-against the annotations of the object it feeds.  Reports never contain
-wall-clock times, so `replay`, which re-parses the recorded argv, reproduces
+This module is where outside input is checked.  `main` parses argv,
+loads the config JSON of a `--config` command, and runs every command the
+same way: `_run` creates `--out`, runs the command and writes a manifest
+next to the outputs (tool version, the argv as given, the config JSON,
+rng seeds, input checksum, wall-clock timings, output checksums).
+Config JSON is type-checked against the annotations of the object it
+feeds.  Reports never contain wall-clock times, so `replay`, which
+re-parses the recorded argv and reuses the recorded config, reproduces
 them byte for byte; timings live in the manifest only.
 """
 
@@ -93,19 +94,15 @@ _CSV_FIELDS = ["method", "repetition", "seed", "k", "K", "iterations",
 
 
 def _write_report(report, outdir):
+    """Write report.json and report.csv and print the aggregates."""
     rows = [_record_row(r) for r in report.records]
-    _write_json(Path(outdir) / "report.json",
-                {"records": rows, "aggregates": report.aggregates()})
-    with open(Path(outdir) / "report.csv", "w", newline="") as fh:
+    agg = report.aggregates()
+    _write_json(outdir / "report.json", {"records": rows, "aggregates": agg})
+    with open(outdir / "report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS,
                                 extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    return ["report.json", "report.csv"]
-
-
-def _print_aggregates(report):
-    agg = report.aggregates()
     print(f"{'method':<8} {'mse_slopes':>12} {'mse_b0':>10} "
           f"{'d_eff':>8} {'a_eff':>8} {'gen_var':>12}")
     for method, a in agg.items():
@@ -116,11 +113,12 @@ def _print_aggregates(report):
               f"{a['mse_intercept']['mean']:>10.5g} "
               f"{a['d_eff']['mean']:>8.4f} {a['a_eff']['mean']:>8.4f} "
               f"{a['gen_variance']['mean']:>12.5g}")
+    return ["report.json", "report.csv"]
 
 
 # ---------------------------------------------------------------- select
 
-def _cmd_select(args, outdir):
+def _cmd_select(args, config, outdir):
     start = time.perf_counter()
     ds = ingest(_ingest_spec_from_args(args))
     ingest_seconds = time.perf_counter() - start
@@ -154,7 +152,7 @@ def _cmd_select(args, outdir):
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return (None, [args.seed], args.input,
+    return ([args.seed], args.input,
             {"ingest_s": ingest_seconds, "select_seconds": seconds},
             ["indices.txt", "report.json"])
 
@@ -233,55 +231,41 @@ def _fields(raw, target, prefix="", skip=()):
             if name in raw else default for name, default in params.items()}
 
 
-def _cmd_simulate(args, outdir):
-    raw = _load_json(args.config)
-    cfg = ExperimentConfig(**_fields(raw, ExperimentConfig))
-    t0 = time.perf_counter()
+def _cmd_simulate(args, config, outdir):
+    cfg = ExperimentConfig(**_fields(config, ExperimentConfig))
     report = simulate.run_experiment(cfg)
-    seconds = time.perf_counter() - t0
-    outputs = _write_report(report, outdir)
-    _print_aggregates(report)
-    return (raw, [cfg.rng_seed + r for r in range(cfg.repetitions)], None,
-            {"total_seconds": seconds}, outputs)
+    return ([cfg.rng_seed + r for r in range(cfg.repetitions)], None, {},
+            _write_report(report, outdir))
 
 
-def _cmd_bootstrap(args, outdir):
-    raw = _load_json(args.config)
-    kw = dict(raw)
+def _cmd_bootstrap(args, config, outdir):
+    kw = dict(config)
     spec = _load(kw.pop("input", None), IngestSpec, "input")
-    kw = _fields(kw, simulate.bootstrap_mse, skip=("x", "y", "resample"))
+    kw = _fields(kw, simulate.bootstrap_mse, skip=("x", "y"))
     ds = ingest(spec)
     if ds.y is None:
         raise ConfigError("bootstrap requires a response column")
-    t0 = time.perf_counter()
     report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
-    seconds = time.perf_counter() - t0
-    outputs = _write_report(report, outdir)
-    _print_aggregates(report)
-    return (raw, [kw["rng_seed"] + b for b in range(kw["B"])], spec.path,
-            {"total_seconds": seconds}, outputs)
+    return ([kw["rng_seed"] + b for b in range(kw["B"])], spec.path, {},
+            _write_report(report, outdir))
 
 
-def _cmd_timing(args, outdir):
-    raw = _load_json(args.config)
-    kw = _fields(raw, simulate.timing_study)
-    t0 = time.perf_counter()
+def _cmd_timing(args, config, outdir):
+    kw = _fields(config, simulate.timing_study)
     cells = simulate.timing_study(**kw)
-    seconds = time.perf_counter() - t0
     # Gains are seed-deterministic and belong in the report; wall-clock
     # means are environment-dependent and go to the manifest.
     _write_json(outdir / "report.json", {
         "cells": [{"k": c.k, "K": c.K, "iterations": c.iterations,
                    "mean_pct_v_gain": c.mean_pct_v_gain} for c in cells]})
-    timings = {"total_seconds": seconds,
-               "cells": [{"k": c.k, "K": c.K, "iterations": c.iterations,
+    timings = {"cells": [{"k": c.k, "K": c.K, "iterations": c.iterations,
                           "mean_seconds": c.mean_seconds} for c in cells]}
     print(f"{'k':>4} {'K':>4} {'iters':>6} {'mean_s':>10} {'V gain %':>10}")
     for c in cells:
         print(f"{c.k:>4} {c.K:>4} {c.iterations:>6} "
               f"{c.mean_seconds:>10.4f} {c.mean_pct_v_gain:>10.2f}")
-    return (raw, [kw["rng_seed"] + r for r in range(kw["repetitions"])],
-            None, timings, ["report.json"])
+    return ([kw["rng_seed"] + r for r in range(kw["repetitions"])], None,
+            timings, ["report.json"])
 
 
 # ------------------------------------------------------------------ hull
@@ -316,7 +300,7 @@ def _parse_pair(text, columns):
     return out
 
 
-def _cmd_hull(args, outdir):
+def _cmd_hull(args, config, outdir):
     ds = ingest(_ingest_spec_from_args(args))
     try:
         with warnings.catch_warnings():
@@ -356,13 +340,13 @@ def _cmd_hull(args, outdir):
         print(f"{r['columns'][0]} vs {r['columns'][1]}: "
               f"full area {r['full_area']:.5g}, "
               f"subdata area {r['subdata_area']:.5g}")
-    return None, [], args.input, {}, outputs
+    return [], args.input, {}, outputs
 
 
 # ------------------------------------------------------- runner and replay
 
-# Each command takes (args, outdir) and returns what its manifest records:
-# (config JSON or None, rng seeds, input path or None, timings, outputs).
+# Each command takes (args, config JSON or None, outdir) and returns what
+# its manifest records: (rng seeds, input path or None, timings, outputs).
 _COMMANDS = {"select": _cmd_select, "simulate": _cmd_simulate,
              "bootstrap": _cmd_bootstrap, "timing": _cmd_timing,
              "hull": _cmd_hull}
@@ -376,11 +360,15 @@ def _outdir(path):
     return Path(path)
 
 
-def _run(args, argv):
-    """Run the parsed command `args` and write its manifest into args.out."""
+def _run(args, argv, config):
+    """Run the parsed command `args` on `config`, the JSON object of a
+    `--config` command (else None), and write its manifest into args.out;
+    `timings["total_seconds"]` covers the command and its outputs."""
+    start = time.perf_counter()
     outdir = _outdir(args.out)
-    config, seeds, input_path, timings, outputs = \
-        _COMMANDS[args.command](args, outdir)
+    seeds, input_path, timings, outputs = \
+        _COMMANDS[args.command](args, config, outdir)
+    timings["total_seconds"] = time.perf_counter() - start
     _write_json(outdir / "manifest.json", {
         "tool": "subdopt",
         "version": __version__,
@@ -399,9 +387,10 @@ def replay(manifest_path, out):
     """Re-run the command recorded in a manifest into a new directory.
 
     The recorded argv is parsed again with `--out` replaced by `out`; a
-    `--config` command reads the recorded config.  Same inputs and seeds
-    produce byte-identical reports; compare the output checksums in the
-    two manifests to verify a run.
+    `--config` command runs on the recorded config, not on the file its
+    argv names, so `out` gets only the command's outputs and manifest.
+    Same inputs and seeds produce byte-identical reports; compare the
+    output checksums in the two manifests to verify a run.
     """
     manifest = _load_json(manifest_path)
     argv = manifest.get("argv")
@@ -420,10 +409,13 @@ def replay(manifest_path, out):
         raise ConfigError(f"{manifest_path}: the recorded argv does not "
                           f"parse") from None
     args.out = out
+    config = None
     if "config" in args:
-        args.config = _outdir(out) / "_replay_config.json"
-        _write_json(args.config, manifest.get("config"))
-    return _run(args, argv)
+        config = manifest.get("config")
+        if not isinstance(config, dict):
+            raise ConfigError(f"{manifest_path}: config must be a JSON "
+                              f"object, got {config!r}")
+    return _run(args, argv, config)
 
 
 # ------------------------------------------------------------------ main
@@ -491,7 +483,8 @@ def main(argv=None):
     try:
         if args.command == "replay":
             return replay(args.manifest, args.out)
-        return _run(args, argv)
+        return _run(args, argv, _load_json(args.config)
+                    if "config" in args else None)
     except (IngestError, ConfigError, seeding.ConstantColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST

@@ -102,26 +102,25 @@ def _dataset(names, columns, data, n_rejected):
     """The shared tail of both parsers: split `data` (the `_used` columns)
     into covariates and response and apply the log-transforms."""
     cov_idx, resp_idx, log_idx = columns
-    x = data[:, :len(cov_idx)]
-    y = data[:, -1] if resp_idx is not None else None
-
-    for jj, j in enumerate(cov_idx):
+    for jj, j in enumerate(_used(columns)):
         if j in log_idx:
-            if np.any(x[:, jj] <= 0):
+            if np.any(data[:, jj] <= 0):
                 raise IngestError(
                     f"log-transform of column {names[j]!r} hit a "
                     f"non-positive value")
-            x[:, jj] = np.log(x[:, jj])
-    if resp_idx is not None and resp_idx in log_idx:
-        if np.any(y <= 0):
-            raise IngestError(
-                f"log-transform of column {names[resp_idx]!r} hit a "
-                f"non-positive value")
-        y = np.log(y)
-
+            data[:, jj] = np.log(data[:, jj])
+    x = data[:, :len(cov_idx)]
+    y = data[:, -1] if resp_idx is not None else None
     return Dataset(x, y, [names[j] for j in cov_idx],
                    names[resp_idx] if resp_idx is not None else None,
                    n_rejected)
+
+
+def _ends_quoted(line, delimiter):
+    """Whether `csv`, reading `line` from a row's start, ends it inside a
+    quoted field, which then holds the line ending."""
+    row = next(csv.reader([line], delimiter=delimiter))
+    return bool(row) and row[-1].endswith(("\r", "\n"))
 
 
 def _skip(cell):
@@ -138,27 +137,31 @@ def ingest(spec):
     the header columns the spec leaves unused (a text id, say).
     Whitespace-only lines are dropped and counted as rejected.  The
     row-by-row parser `_ingest_rows` reads the file instead if a line is
-    longer than `csv.field_size_limit()` or holds an odd number of quotes
-    (a quoted field that runs past the line, where `csv` would count a
-    blank line inside it differently), or if the parse fails, finds no
-    rows, reads a non-finite value or a field count other than the
-    header's.  Where both succeed they give the same arrays; the row
-    parser also reads cells only `float()` reads (`1_0`, non-ASCII
-    digits), and otherwise raises the error naming the offending line and
-    column.  A column that does not resolve is reported once the whole
-    block has parsed, so a bad row is still reported first.
+    longer than `csv.field_size_limit()` or holds an odd number of quotes,
+    or if the parse fails, finds no rows, reads a non-finite value or a
+    field count other than the header's.  It also does if a blank line
+    appears and a quoted field may run past its line, so that `csv` could
+    read the blank line into the field: a row spans two lines, or the last
+    line ends inside quotes.  Where both succeed they give the same
+    arrays; the row parser also reads cells only `float()` reads (`1_0`,
+    non-ASCII digits), and otherwise raises the error naming the offending
+    line and column.  A column that does not resolve is reported once the
+    whole block has parsed, so a bad row is still reported first.
     """
-    blank = 0
+    blank = lines = 0
+    last = ""
     limit = csv.field_size_limit()
 
     def data_lines(fh):
-        nonlocal blank
+        nonlocal blank, lines, last
         for line in fh:
             if not line.strip():
                 blank += 1
             elif len(line) > limit or ('"' in line and line.count('"') % 2):
                 raise ValueError("csv decides this line")
             else:
+                lines += 1
+                last = line
                 yield line
 
     column_error = None
@@ -181,6 +184,9 @@ def ingest(spec):
                 data = np.loadtxt(data_lines(fh), converters=unused,
                                   quotechar='"', delimiter=spec.delimiter,
                                   comments=None, ndmin=2, dtype=float)
+            if blank and (len(data) != lines
+                          or _ends_quoted(last, spec.delimiter)):
+                data = None   # csv may read a blank line into a field
         except (ValueError, TypeError, csv.Error, IngestError):
             data = None   # TypeError: a newline or quote delimiter
     if data is None or not data.size or not np.isfinite(data).all():
@@ -225,7 +231,6 @@ def _ingest_rows(spec):
     if not rows:
         raise IngestError(f"{spec.path}: all rows rejected or file empty")
 
-    width = len(rows[0][1])
     names = header_names if header_names is not None \
         else [f"c{j}" for j in range(width)]
     if len(names) != width:

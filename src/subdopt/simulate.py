@@ -242,6 +242,8 @@ def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
         raise ConfigError(f"K must be >= 1, got {K}")
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     if exchanging and k == n:
         raise ConfigError(f"k = n = {n} leaves no rows for the exchange "
                           f"pool")
@@ -317,7 +319,7 @@ def run_experiment(config, keep_selections=False):
 
 def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
                   rng_seed: int = 0, iterations: int = 5,
-                  seed_method: str = "oss", resample=True):
+                  seed_method: str = "oss"):
     """Bootstrap the subdata-selection MSE on a fixed dataset.
 
     Each of the B resamples draws n rows with replacement, runs the
@@ -337,11 +339,9 @@ def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
     report = ExperimentReport(cfg)
     for b in range(B):
         rep_seed = rng_seed + b
-        xb, yb = x, y
-        if resample:
-            rows = np.random.default_rng(rep_seed).integers(0, n, size=n)
-            xb, yb = x[rows], y[rows]
-        report.records += _run_one(xb, yb, cfg, b, rep_seed, beta_ref)
+        rows = np.random.default_rng(rep_seed).integers(0, n, size=n)
+        report.records += _run_one(x[rows], y[rows], cfg, b, rep_seed,
+                                   beta_ref)
     return report
 
 

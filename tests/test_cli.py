@@ -177,12 +177,13 @@ class TestIngestPaths:
         assert ds.x.tobytes() == plain.x.tobytes()
 
     def test_quoted_id_column_takes_fast_path(self, csv_file, row_parses):
-        # quoted ids hold the delimiter and quotes; a used cell is quoted
+        # quoted ids hold the delimiter and quotes; a used cell is quoted;
+        # the file ends with a blank line
         lines = csv_file.read_text().splitlines()
         path = csv_file.parent / "qids.csv"
         path.write_text("\n".join([f"id,{lines[0]}"] + [
             f'"row {i}, ""{i}""",{line}' for i, line in enumerate(lines[1:])]
-            + ['"last",1,2,3,"4"']) + "\n")
+            + ['"last",1,2,3,"4"']) + "\n\n")
         spec = IngestSpec(str(path), response="resp",
                           covariates=["b", "a", "c"])
         ds, ref = ingest(spec), _ingest_rows(spec)
@@ -191,6 +192,7 @@ class TestIngestPaths:
         assert ds.y.tobytes() == ref.y.tobytes()
         assert ds.columns == ref.columns == ["b", "a", "c"]
         assert (ds.x[-1].tolist(), ds.y[-1]) == ([2.0, 1.0, 3.0], 4.0)
+        assert ds.n_rejected == ref.n_rejected == 1
 
     def test_quoted_cell_across_lines_falls_back(self, tmp_path, row_parses):
         # a blank line inside a quoted field is part of the field, not a
@@ -203,6 +205,22 @@ class TestIngestPaths:
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.n_rejected == ref.n_rejected == 1
+
+    @pytest.mark.parametrize("text, covariates, x", [
+        ('u,v,w,x,z\n1,a"b,"p\n\nq",a"b,5\n', ["u", "z"], [[1.0, 5.0]]),
+        ('u,v,w\n1,a"b,"p\n\n', ["u"], [[1.0]]),
+    ], ids=["blank-line-inside", "trailing-blank-line-inside"])
+    def test_blank_line_in_field_opened_by_stray_quotes_falls_back(
+            self, tmp_path, row_parses, text, covariates, x):
+        # each line holds an even number of quotes, yet a quoted field
+        # runs past its line, so csv reads the blank line into it
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        spec = IngestSpec(str(path), covariates=covariates)
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert len(row_parses) == 1
+        assert ds.x.tolist() == ref.x.tolist() == x
+        assert ds.n_rejected == ref.n_rejected == 0
 
     def test_quoted_delimiter_falls_back(self, tmp_path, row_parses):
         # split on commas the short row has one field per header name and
@@ -281,15 +299,21 @@ TEXT_CELLS = st.sampled_from(
 def ingest_file(draw):
     """Text of a small delimited file, and the spec that reads it.
 
-    Some files carry a text column that `covariates` leaves out; its
-    quoted cells may hold the delimiter, a line ending or a blank line."""
+    Some files carry one or two text columns that `covariates` leaves
+    out; their quoted cells may hold the delimiter, a line ending or a
+    blank line.  After a cell with a stray quote (`a"b`), a quoted cell
+    that holds a blank line can leave an even number of quotes on each
+    line."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|", "\n"]))
     ending = draw(LINE_ENDINGS)
     text_cell = st.one_of(TEXT_CELLS, st.sampled_from(
-        [f'"x{delimiter}y"', f'"x{ending}y"', f'"x{ending}{ending}y"']))
+        [f'"x{delimiter}y"', f'"x{ending}y"', f'"x{ending}{ending}y"',
+         f'"x{ending}{ending}y"z"']))
     width = draw(st.integers(1, 3))
-    text_col = draw(st.one_of(st.none(), st.integers(0, width)))
-    total = width + (text_col is not None)
+    total = width + draw(st.sampled_from([0, 0, 1, 2]))
+    text_cols = draw(st.lists(st.integers(0, total - 1), unique=True,
+                              min_size=total - width,
+                              max_size=total - width))
     odd = draw(st.booleans())
     cell = st.one_of(NUMBER_CELLS, ODD_CELLS) if odd else NUMBER_CELLS
     header = draw(st.booleans())
@@ -310,15 +334,15 @@ def ingest_file(draw):
         else:
             n = total + (draw(st.sampled_from([-1, 1])) if kind == "ragged"
                          else 0)
-            cells = [draw(cell) for _ in range(n)]
-            if text_col is not None and text_col < n:
-                cells[text_col] = draw(text_cell)
+            cells = [draw(text_cell) if j in text_cols else draw(cell)
+                     for j in range(n)]
             lines.append(delimiter.join(cells))
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
     response = draw(st.sampled_from([None, 0, total - 1]))
     covariates = None
-    if text_col is not None:
-        covariates = [j for j in range(total) if j not in (text_col, response)]
+    if text_cols:
+        covariates = [j for j in range(total)
+                      if j not in text_cols and j != response]
         if header and draw(st.booleans()):
             covariates = [f"h{j}" for j in covariates]
     return text, dict(delimiter=delimiter, header=header,
@@ -369,7 +393,8 @@ class TestSelectCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "select"
         assert manifest["input_checksum"]
-        assert sorted(manifest["timings"]) == ["ingest_s", "select_seconds"]
+        assert sorted(manifest["timings"]) == \
+            ["ingest_s", "select_seconds", "total_seconds"]
         assert 0 < manifest["timings"]["ingest_s"]
 
     def test_iboss_k_equals_n(self, csv_file, tmp_path):
@@ -408,10 +433,13 @@ class TestSelectCommand:
         ["--method", "oss", "--k", "5", "--out", "data.csv"],
         ["--method", "oss", "--k", "5", "--covariates", "a,a"],
         ["--method", "oss", "--k", "5", "--skip-rows", "-1"],
+        ["--method", "uniform", "--k", "5", "--seed", "-1"],
+        ["--method", "alg1", "--k", "5", "--seed-method", "uniform",
+         "--seed", "-3"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
             "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
             "delimiter-empty", "out-is-a-file", "covariate-repeated",
-            "skip-rows-negative"])
+            "skip-rows-negative", "seed-negative", "uniform-seed-negative"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
         # also bad delimiters and an --out that names an existing file
@@ -666,7 +694,7 @@ def fuzzed_config(draw):
         cfg["outliers"] = {"count": 5, "mean_shift": [5.0, 0.0]}
     target, nested, nested_target = TARGETS[command]
     names = {*inspect.signature(target).parameters, nested, "bogus"}
-    paths = [(name,) for name in sorted(names - {None, "x", "y", "resample"})]
+    paths = [(name,) for name in sorted(names - {None, "x", "y"})]
     if nested:
         paths += [(nested, name) for name in
                   [*inspect.signature(nested_target).parameters, "bogus"]]
@@ -858,9 +886,11 @@ class TestReplayCommand:
         '{"command": "select", "argv": ["select", 3]}',
         '{"command": "select", "argv": ["replay", "manifest.json", "o"]}',
         '{"command": "select", "argv": ["select", "--k", "x"]}',
+        '{"command": "simulate", "argv": ["simulate", "--config", "c.json",'
+        ' "--out", "o"], "config": [1, 2]}',
     ], ids=["missing", "not-json", "not-object", "unknown-command",
             "no-argv", "argv-not-strings", "argv-replay",
-            "argv-does-not-parse"])
+            "argv-does-not-parse", "config-not-object"])
     def test_bad_manifest_is_config_error(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"
         if text is not None:
@@ -869,6 +899,29 @@ class TestReplayCommand:
         assert rc == cli.EXIT_INGEST
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") for line in err)
+        assert all(str(manifest) in line for line in err
+                   if line.startswith("error:")), err
+
+    @pytest.mark.parametrize("command", sorted(BASE_CONFIGS))
+    def test_replay_writes_the_original_files(self, tmp_path, command):
+        # the recorded config is passed on, not written to a file
+        write_csv(tmp_path / "data.csv")
+        rc, err = run_config(command, BASE_CONFIGS[command], tmp_path)
+        assert rc == cli.EXIT_OK, err
+        out = tmp_path / "o"
+        (tmp_path / "cfg.json").unlink()   # the replay must not read it
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["replay", str(out / "manifest.json"),
+                           str(tmp_path / "r")])
+        assert rc == cli.EXIT_OK
+        files = sorted(p.name for p in out.iterdir())
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == files
+        assert files == sorted(["manifest.json", *json.loads(
+            (out / "manifest.json").read_text())["outputs"]])
+        for name in files:
+            if name != "manifest.json":
+                assert (tmp_path / "r" / name).read_bytes() \
+                    == (out / name).read_bytes(), name
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -191,12 +191,26 @@ class TestBootstrap:
         return x, y
 
     def test_degenerate_identity_resample(self):
+        # with k = n the selection is the whole resample, so the MSE is
+        # that of a least-squares fit on the resampled rows
         x, y = self.make_data()
-        report = simulate.bootstrap_mse(x, y, 1, "uniform", 300, 4,
-                                        resample=False)
+        n = len(x)
+        report = simulate.bootstrap_mse(x, y, 1, "uniform", n, 4, rng_seed=7)
+        rows = np.random.default_rng(7).integers(0, n, n)
+        xb, yb = x[rows], y[rows]
+
+        def lstsq(x, y):
+            z = np.column_stack([np.ones(len(x)), x])
+            return np.linalg.lstsq(z, y, rcond=None)[0]
+
+        ref, slopes = lstsq(x, y), lstsq(xb, yb)[1:]
+        b0 = yb.mean() - xb.mean(axis=0) @ slopes
         rec = report.records[0]
-        assert rec.mse.mse_slopes == pytest.approx(0.0, abs=1e-16)
-        assert rec.mse.mse_intercept == pytest.approx(0.0, abs=1e-16)
+        assert rec.mse.mse_slopes == pytest.approx(
+            np.sum((slopes - ref[1:]) ** 2), rel=1e-9)
+        assert rec.mse.mse_intercept == pytest.approx(
+            (b0 - ref[0]) ** 2, rel=1e-9)
+        assert rec.mse.mse_slopes > 1e-6
 
     def test_reproducible(self):
         x, y = self.make_data()
