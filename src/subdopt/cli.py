@@ -121,12 +121,22 @@ def _write_report(report, outdir):
 def _cmd_select(args, config, outdir):
     start = time.perf_counter()
     ds = ingest(_ingest_spec_from_args(args))
-    ingest_seconds = time.perf_counter() - start
+    timings = {"ingest_s": time.perf_counter() - start}
+    start = time.perf_counter()
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
+    timings["scale_s"] = time.perf_counter() - start
+    cache = {}
     sel, trace, seconds = simulate.select(
         x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
-        args.seed_method)
+        args.seed_method, cache)
+    for key, (_, built) in cache.items():   # the seed, then the pool
+        timings["pool_s" if key == "pool" else "seed_s"] = built
+    if trace is not None:
+        timings["exchange_s"] = trace.pass_seconds[-1]
+    timings["select_seconds"] = seconds
+    start = time.perf_counter()
     eff = metrics.efficiency(x_scaled, sel)
+    timings["efficiency_s"] = time.perf_counter() - start
 
     (outdir / "indices.txt").write_text(
         "".join(f"{i}\n" for i in sel.indices))
@@ -152,9 +162,7 @@ def _cmd_select(args, config, outdir):
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return ([args.seed], args.input,
-            {"ingest_s": ingest_seconds, "select_seconds": seconds},
-            ["indices.txt", "report.json"])
+    return [args.seed], args.input, timings, ["indices.txt", "report.json"]
 
 
 # ------------------------------------------------- simulate, bootstrap, timing

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SingularMomentError, as_indices, augment, factor_moment
-from .seeding import Selection, _extremes
+from .seeding import Selection, _block_extremes, _extremes
 
 #: Relative strict-improvement threshold on the determinant ratio,
 #: guarding against cycling on floating-point noise.
@@ -50,6 +50,7 @@ class ExchangeTrace:
     pass_seconds: list[float] = field(default_factory=list)
     initial_log_v: float = 0.0
     final_log_v: float = 0.0
+    pool_size: int = 0   # pool rows the exchange ran against
     accepted_swaps: int = 0
     #: slots whose accepted swaps were undone because the new selection
     #: was singular, or because its log V was not higher
@@ -67,8 +68,9 @@ def candidate_pool(x, sel, K):
     higher row at the large end, and rows tied in value are listed by
     ascending row.  Rows taken for an earlier covariate are *not*
     excluded, so a row can be appended twice; the final pool keeps unique
-    rows by first occurrence.  Each end costs one O(n) partition of its
-    column, so the pool is O(np).
+    rows by first occurrence.  One pass over x finds the per-block column
+    extremes, and each end reads only the blocks that can hold its rows
+    (`seeding._extremes`), so the pool is O(np).
     """
     if K < 1:
         raise ValueError(f"K must be a positive integer, got {K}")
@@ -78,14 +80,14 @@ def candidate_pool(x, sel, K):
     taken[as_indices(sel)] = True
     if taken.all():
         raise ValueError("no unselected rows left to build a pool from")
+    blocks = _block_extremes(x)
     parts = []
     for j in range(p):
-        col = np.ascontiguousarray(x[:, j])
-        parts.append(_extremes(col, K // 2, taken))
-        # the large end is the small end of the negated column read
-        # backwards, which sends ties to the higher row
-        rev = _extremes(-col[::-1], K - K // 2, taken[::-1])
-        parts.append(n - 1 - rev[::-1])
+        parts.append(_extremes(x, j, K // 2, taken, blocks))
+        # the large end from the maximum inward, ties to the higher row,
+        # read backwards
+        parts.append(_extremes(x, j, K - K // 2, taken, blocks,
+                               largest=True, ties_high=True)[::-1])
     stacked = np.concatenate(parts)
     _, first = np.unique(stacked, return_index=True)
     pool = stacked[np.sort(first)]
@@ -137,8 +139,7 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
                          "from each other and from the pool")
     ZS, ZF = augment(x[idx]), augment(x[F])
     log_v, M, c = _scan_state(ZS, ZF)
-    trace = ExchangeTrace()
-    trace.initial_log_v = log_v
+    trace = ExchangeTrace(initial_log_v=log_v, pool_size=F.size)
 
     for _ in range(iterations):
         accepts = 0

@@ -27,12 +27,38 @@ class Selection:
         return int(self.indices.size)
 
 
+#: Rows per block of `_block_extremes`
+BLOCK = 64
+
+
+def _block_extremes(x):
+    """Per-column minima and maxima of the rows of x in blocks: two
+    (n // BLOCK, p) arrays.
+
+    With s = n // BLOCK, block g holds the BLOCK rows g, g + s, ...,
+    g + (BLOCK - 1)s, so the pass is BLOCK sweeps over s contiguous rows
+    and needs no copy of x.  The last n % BLOCK rows are in no block.
+    """
+    s = x.shape[0] // BLOCK
+    lo = x[:s].copy()
+    hi = lo.copy()
+    for i in range(1, BLOCK):
+        rows = x[i * s:(i + 1) * s]
+        np.minimum(lo, rows, out=lo)
+        np.maximum(hi, rows, out=hi)
+    return lo, hi
+
+
 def scale_to_unit_cube(x):
     """Affinely map every column onto [-1, 1]: (scaled, (lo, hi)), with
     lo and hi the per-column minimum and maximum."""
     x = np.asarray(x, dtype=float)
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
+    # min and max are exact, so folding the block extremes and the rows
+    # in no block gives the bytes of x.min(axis=0) and x.max(axis=0)
+    lo, hi = _block_extremes(x)
+    tail = x[BLOCK * lo.shape[0]:]
+    lo = np.concatenate((lo, tail)).min(axis=0)
+    hi = np.concatenate((hi, tail)).max(axis=0)
     if np.any(hi <= lo):
         cols = np.flatnonzero(hi <= lo)
         raise ConstantColumnError(f"constant column(s): {cols.tolist()}")
@@ -70,18 +96,39 @@ def _smallest(vals, m):
     return cand[~tied | (np.cumsum(tied) <= n_tied)]
 
 
-def _extremes(col, m, taken):
-    """Rows of the m smallest values of a full column among the rows not
-    `taken` (a boolean mask), ascending by (value, row).
+def _extremes(x, j, m, taken, blocks, largest=False, ties_high=False):
+    """Rows of the m smallest values of column j of x (`largest`: the m
+    largest) among the rows not `taken` (a boolean mask), from the most
+    extreme value inward; rows tied in value go by ascending row
+    (`ties_high`: descending), so the ties at the last place kept go to
+    the lower (higher) rows.  `blocks` is `_block_extremes(x)`.
 
-    The m smallest available rows are always among the m + |taken|
-    smallest rows overall, so only those are ranked: O(n) per call.
+    The m extreme available rows are among the t = m + |taken| extreme
+    rows overall.  The t blocks with the most extreme block extremes hold
+    t rows at least as extreme as the t-th of those, so the t extreme
+    rows are too, and each lies in a block whose extreme is.  Only those
+    blocks and the rows in no block are read, and ranked by one
+    partition: every row when t is not below n // BLOCK, and a few
+    hundred blocks at n = 1e6 and t near 100.  A block whose extreme is
+    NaN is kept, and every block if the t-th is NaN.
     """
     if m <= 0:
         return np.empty(0, dtype=np.intp)
-    top = _smallest(col, m + np.count_nonzero(taken))
+    ends = -blocks[1][:, j] if largest else blocks[0][:, j]
+    t, s = m + np.count_nonzero(taken), ends.size
+    kept = np.arange(s)
+    if t < s:
+        thresh = np.partition(ends, t - 1)[t - 1]
+        kept = np.flatnonzero(~(ends > thresh))
+    rows = np.concatenate(((kept + s * np.arange(BLOCK)[:, None]).ravel(),
+                           np.arange(BLOCK * s, x.shape[0])))
+    if ties_high:
+        rows = rows[::-1]
+    vals = -x[rows, j] if largest else x[rows, j]
+    taken = taken[rows]
+    top = _smallest(vals, m + np.count_nonzero(taken))
     top = top[~taken[top]]
-    return top[np.argsort(col[top], kind="stable")[:m]]
+    return rows[top[np.argsort(vals[top], kind="stable")[:m]]]
 
 
 def iboss_seed(x, k):
@@ -92,9 +139,10 @@ def iboss_seed(x, k):
     is floor(k / 2p); the remainder is handed out one per extreme starting
     from covariate 1 (small end first) so the total is exactly k.  Each
     end is listed from the most extreme value inward; ties go to the
-    lower row.  Each end costs one O(n) partition of its column, so the
-    seed is O(np), the cost IBOSS was designed for (Wang, Yang & Stufken
-    2019).
+    lower row.  One pass over x finds the per-block column extremes
+    (`_block_extremes`); each end then reads only the blocks that can
+    hold its rows (`_extremes`), so the seed is O(np), the cost IBOSS was
+    designed for (Wang, Yang & Stufken 2019).
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -107,22 +155,35 @@ def iboss_seed(x, k):
         for _ in ("small", "large"):
             counts.append(base + (1 if rem > 0 else 0))
             rem -= 1
+    blocks = _block_extremes(x)
     taken = np.zeros(n, dtype=bool)
     chosen = []
     for j in range(p):
-        col = np.ascontiguousarray(x[:, j])
-        for vals, m in ((col, counts[2 * j]), (-col, counts[2 * j + 1])):
-            take = _extremes(vals, m, taken)
+        for largest in (False, True):
+            take = _extremes(x, j, counts[2 * j + largest], taken, blocks,
+                             largest)
             chosen.append(take)
             taken[take] = True
     return Selection(np.concatenate(chosen))
 
 
 def _pack(bits):
-    """Each row of a boolean matrix as ceil(p / 64) uint64 words."""
+    """Each row of a boolean matrix as ceil(p / 64) uint64 words, bit i of
+    the row in bit i % 64 of word i // 64.
+
+    Eight bits of a row, one byte each, read as one little-endian uint64:
+    times 0x0102040810204080, byte i lands in bit 56 + i with no carry
+    into those bits, so a shift by 56 leaves them packed in one byte.
+    """
     n, p = bits.shape
+    nbytes = -(-p // 8)
+    padded = np.zeros((n, 8 * nbytes), dtype=np.uint8)
+    padded[:, :p] = bits
+    octets = padded.view("<u8")
+    octets *= 0x0102040810204080
+    octets >>= 56
     packed = np.zeros((n, 8 * -(-p // 64)), dtype=np.uint8)
-    packed[:, :-(-p // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    packed[:, :nbytes] = octets
     return packed.view(np.uint64)
 
 
@@ -145,9 +206,10 @@ def oss_seed(x, k):
     loss, both at the elimination boundary and for the next pick, go to
     the lower row index.
 
-    Cost: one O(np) pass packs each row's signs into ceil(p / 64) words
-    per sign and computes p - |x|^2/2; a loss update then costs
-    O(ceil(p / 64)) word operations per live row.
+    Cost: O(np) to compute p - |x|^2/2 and to pack each row's signs
+    into ceil(p / 64) words per sign, eight signs per multiply (`_pack`);
+    a loss update then costs O(ceil(p / 64)) word operations per live
+    row.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape

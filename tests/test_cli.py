@@ -394,8 +394,9 @@ class TestSelectCommand:
         assert manifest["command"] == "select"
         assert manifest["input_checksum"]
         assert sorted(manifest["timings"]) == \
-            ["ingest_s", "select_seconds", "total_seconds"]
-        assert 0 < manifest["timings"]["ingest_s"]
+            ["efficiency_s", "exchange_s", "ingest_s", "pool_s", "scale_s",
+             "seed_s", "select_seconds", "total_seconds"]
+        assert all(t > 0 for t in manifest["timings"].values())
 
     def test_iboss_k_equals_n(self, csv_file, tmp_path):
         out = tmp_path / "out"

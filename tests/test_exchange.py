@@ -213,7 +213,8 @@ class TestAlg1:
         x = rng.standard_normal((30, 2))
         seed = seeding.uniform_seed(x, 6, 0)
         pool0 = exchange.candidate_pool(x, seed, 4)
-        sel, _ = exchange.alg1(x, seed, 4, iterations=3)
+        sel, trace = exchange.alg1(x, seed, 4, iterations=3)
+        assert trace.pool_size == len(pool0)
         assert len(sel) == 6
         assert np.unique(sel.indices).size == 6
         # final selection only contains original seed or pool members

@@ -21,8 +21,13 @@ class TestScaling:
 
     def test_bytes_match_the_plain_expression(self):
         rng = np.random.default_rng(30)
+        # many blocks, with column 0's minimum and column 1's maximum at
+        # the first and the last of the rows after the last whole block
+        tail = rng.standard_normal((50 * seeding.BLOCK + 37, 3))
+        tail[50 * seeding.BLOCK, 0], tail[-1, 1] = -9.0, 9.0
         for x in (rng.standard_normal((300, 4)) * 7 + 3,
-                  rng.integers(-3, 4, (200, 5)).astype(float)):
+                  rng.integers(-3, 4, (200, 5)).astype(float), tail,
+                  rng.standard_normal((seeding.BLOCK - 1, 2))):
             lo, hi = x.min(axis=0), x.max(axis=0)
             scaled, _ = seeding.scale_to_unit_cube(x)
             want = 2.0 * (x - lo) / (hi - lo) - 1.0
@@ -157,6 +162,14 @@ class TestOssSeed:
         assert set(sel.indices) == set(range(40, 48))
 
 
+@pytest.mark.parametrize("p", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_pack_matches_packbits(p):
+    bits = np.random.default_rng(p).random((300, p)) < 0.5
+    want = np.zeros((300, 8 * -(-p // 64)), dtype=np.uint8)
+    want[:, :-(-p // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    assert seeding._pack(bits).tobytes() == want.tobytes()
+
+
 def oss_loop(x, k):
     """OSS with candidate elimination, transcribed as plain loops.
 
@@ -271,6 +284,20 @@ def tie_heavy(seed, n, p, levels=3):
     return rng.integers(-levels, levels + 1, (n, p)).astype(float)
 
 
+def many_blocks(data, seed, n, p):
+    """Data over many blocks of `seeding.BLOCK` rows.  "ties": five levels
+    per column; "continuous": normal; "sorted": normal with column 0 in
+    ascending and column 1 in descending order, so the rows at either end
+    of those columns sit one per block."""
+    if data == "ties":
+        return tie_heavy(seed, n, p, levels=2)
+    x = np.random.default_rng(seed).standard_normal((n, p))
+    if data == "sorted":
+        x[:, 0].sort()
+        x[:, 1] = -np.sort(x[:, 1])
+    return x
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed, n, p, k", [
         (50, 60, 3, 1),      # k = 1: one row from the small end
@@ -285,6 +312,38 @@ class TestReferenceEquivalence:
         x = tie_heavy(seed, n, p)
         assert seeding.iboss_seed(x, k).indices.tolist() == \
             iboss_reference(x, k)
+
+    @pytest.mark.parametrize("data, seed, n, p, k", [
+        ("ties", 57, 5000, 4, 40),
+        ("ties", 58, 3000 + 37, 3, 25),     # n not a multiple of BLOCK
+        ("sorted", 59, 4000 + 11, 3, 7),
+        ("sorted", 68, 3000 + 37, 4, 90),
+        ("continuous", 69, 6000, 5, 33),
+        ("continuous", 75, 40, 3, 9),       # n below one block
+        ("sorted", 76, 2000, 2, 1200),      # every block survives
+    ])
+    def test_iboss_many_blocks(self, data, seed, n, p, k):
+        x = many_blocks(data, seed, n, p)
+        assert seeding.iboss_seed(x, k).indices.tolist() == \
+            iboss_reference(x, k)
+
+    @pytest.mark.parametrize("data, seed, n, p, k, K", [
+        ("ties", 77, 5000, 4, 40, 10),
+        ("ties", 78, 3000 + 37, 3, 25, 7),  # n not a multiple of BLOCK
+        ("sorted", 79, 4000 + 11, 3, 30, 9),
+        ("sorted", 80, 3000 + 37, 4, 90, 1),
+        ("continuous", 81, 6000, 5, 33, 12),
+        ("continuous", 82, 40, 3, 9, 6),    # n below one block
+        ("sorted", 83, 2000, 2, 900, 40),   # every block survives
+    ])
+    def test_pool_many_blocks(self, data, seed, n, p, k, K):
+        x = many_blocks(data, seed, n, p)
+        # the k smallest rows of column 0 are taken, so its small end is
+        # the (k + 1)-th to (k + K/2)-th smallest rows: the pool's count of
+        # K/2 + k rows to read is tight there
+        sel = np.lexsort((np.arange(n), x[:, 0]))[:k]
+        assert exchange.candidate_pool(x, sel, K).indices.tolist() == \
+            pool_reference(x, sel, K)
 
     @pytest.mark.parametrize("seed, n, p, k, K", [
         (60, 80, 3, 10, 1),      # K = 1: the large end only
