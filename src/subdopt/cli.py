@@ -121,7 +121,8 @@ def _write_report(report, outdir):
 def _cmd_select(args, config, outdir):
     start = time.perf_counter()
     ds = ingest(_ingest_spec_from_args(args))
-    timings = {"ingest_s": time.perf_counter() - start}
+    timings = {"ingest_s": time.perf_counter() - start,
+               "ingest_chunks": ds.chunks}
     start = time.perf_counter()
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     timings["scale_s"] = time.perf_counter() - start
@@ -493,7 +494,7 @@ def main(argv=None):
             return replay(args.manifest, args.out)
         return _run(args, argv, _load_json(args.config)
                     if "config" in args else None)
-    except (IngestError, ConfigError, seeding.ConstantColumnError) as exc:
+    except (IngestError, ConfigError, seeding.ColumnRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except (SingularMomentError, np.linalg.LinAlgError) as exc:

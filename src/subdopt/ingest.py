@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import csv
+import functools
+import io
+import os
+import signal
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +35,7 @@ class Dataset:
     columns: list[str]
     response_column: str | None
     n_rejected: int
+    chunks: int       # byte ranges parsed; 0 when the row parser read
 
 
 def _resolve(col, names, what):
@@ -59,9 +64,10 @@ def _open(spec):
         raise IngestError(f"cannot open {spec.path}: {exc}") from exc
 
 
-def _header(fh, spec):
-    """Skip `skip_rows` rows and read the header: (csv reader, names)."""
-    reader = csv.reader(fh, delimiter=spec.delimiter)
+def _header(lines, spec):
+    """Skip `skip_rows` rows of the text `lines` and read the header:
+    (csv reader, names)."""
+    reader = csv.reader(lines, delimiter=spec.delimiter)
     for _ in range(spec.skip_rows):
         next(reader, None)
     if not spec.header:
@@ -98,7 +104,7 @@ def _used(columns):
     return cov_idx + ([resp_idx] if resp_idx is not None else [])
 
 
-def _dataset(names, columns, data, n_rejected):
+def _dataset(names, columns, data, n_rejected, chunks):
     """The shared tail of both parsers: split `data` (the `_used` columns)
     into covariates and response and apply the log-transforms."""
     cov_idx, resp_idx, log_idx = columns
@@ -113,7 +119,7 @@ def _dataset(names, columns, data, n_rejected):
     y = data[:, -1] if resp_idx is not None else None
     return Dataset(x, y, [names[j] for j in cov_idx],
                    names[resp_idx] if resp_idx is not None else None,
-                   n_rejected)
+                   n_rejected, chunks)
 
 
 def _ends_quoted(line, delimiter):
@@ -128,33 +134,75 @@ def _skip(cell):
     return 0.0
 
 
-def ingest(spec):
-    """Read a delimited file into covariates and an optional response.
+#: Fewest bytes of the numeric block per range that `ingest` parses
+CHUNK = 1 << 20
 
-    The header and `skip_rows` go through `csv.reader`; one `np.loadtxt`
-    call then parses the numeric block from the open file, splitting
-    quoted fields as `csv` does (a quoted `"4"` reads as 4) and skipping
-    the header columns the spec leaves unused (a text id, say).
-    Whitespace-only lines are dropped and counted as rejected.  The
-    row-by-row parser `_ingest_rows` reads the file instead if a line is
-    longer than `csv.field_size_limit()` or holds an odd number of quotes,
-    or if the parse fails, finds no rows, reads a non-finite value or a
-    field count other than the header's.  It also does if a blank line
-    appears and a quoted field may run past its line, so that `csv` could
-    read the blank line into the field: a row spans two lines, or the last
-    line ends inside quotes.  Where both succeed they give the same
-    arrays; the row parser also reads cells only `float()` reads (`1_0`,
-    non-ASCII digits), and otherwise raises the error naming the offending
-    line and column.  A column that does not resolve is reported once the
-    whole block has parsed, so a bad row is still reported first.
-    """
+#: Rows per block of the passes that would otherwise need a temporary
+#: the size of the whole array
+BLOCK = 1024
+
+
+class _Range(io.RawIOBase):
+    """Bytes [first, stop) of a file, through a handle of its own."""
+
+    def __init__(self, path, first, stop):
+        super().__init__()
+        self.file = open(path, "rb", buffering=0)
+        self.file.seek(first)
+        self.left = stop - first
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        got = self.file.readinto(memoryview(buf)[:self.left])
+        self.left -= got
+        return got
+
+    def close(self):
+        self.file.close()
+        super().close()
+
+
+def _ranges(fh, first):
+    """Cut the bytes of the open file from offset `first` to its end into
+    W ranges, each but the last ending just after a newline: a list of
+    (first, stop) offsets.  W is the number of usable CPUs (1 where
+    `os.sched_getaffinity` is missing), but at most one range per CHUNK
+    bytes."""
+    end = os.fstat(fh.fileno()).st_size
+    if not first <= end:
+        # the position of a stateful decoder is no byte offset
+        raise ValueError("no byte offset for the numeric block")
+    count = min(len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else 1,
+                (end - first) // CHUNK)
+    cuts = [first]
+    if count > 1:
+        import mmap
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            for i in range(1, count):
+                nl = mm.find(b"\n", max(first + (end - first) * i // count,
+                                         cuts[-1]), end)
+                if nl < 0 or nl + 1 == end:
+                    break
+                cuts.append(nl + 1)
+    return list(zip(cuts, cuts[1:] + [end]))
+
+
+def _parse(text, delimiter, converters):
+    """Parse the lines of `text` with one `np.loadtxt` call: (array,
+    head), the head being the array's shape, the number of data lines,
+    the number of blank lines and whether the last data line ends inside
+    a quoted field.  A line longer than `csv.field_size_limit()` or with
+    an odd number of quotes raises ValueError."""
     blank = lines = 0
     last = ""
     limit = csv.field_size_limit()
 
-    def data_lines(fh):
+    def data_lines(text):
         nonlocal blank, lines, last
-        for line in fh:
+        for line in text:
             if not line.strip():
                 blank += 1
             elif len(line) > limit or ('"' in line and line.count('"') % 2):
@@ -164,11 +212,147 @@ def ingest(spec):
                 last = line
                 yield line
 
-    column_error = None
+    with warnings.catch_warnings():
+        # a range without data rows warns
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(data_lines(text), converters=converters,
+                          quotechar='"', delimiter=delimiter,
+                          comments=None, ndmin=2, dtype=float)
+    return data, (*data.shape, lines, blank,
+                  bool(lines) and _ends_quoted(last, delimiter))
+
+
+def _parse_range(path, encoding, delimiter, converters, first, stop):
+    """`_parse` on bytes [first, stop) of the file."""
+    with io.TextIOWrapper(io.BufferedReader(_Range(path, first, stop)),
+                          encoding=encoding, newline="") as text:
+        return _parse(text, delimiter, converters)
+
+
+def _fill(fd, buf):
+    """Read from the pipe `fd` until `buf` is full; False if it ends
+    first."""
+    view = memoryview(buf).cast("B")
+    while view.nbytes:
+        got = os.readv(fd, [view])
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _fork(parse, first, stop, reads):
+    """Run `parse(first, stop)` in a child process, which sends the head,
+    then the array, down a pipe and leaves through `os._exit`, so it
+    never flushes the parent's stdio; it exits 1 if anything fails.
+    `reads` are the read ends of the earlier children, which it closes.
+    Returns (pid, read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        for fd in reads + [r]:
+            os.close(fd)
+        data, head = parse(first, stop)
+        with open(w, "wb") as out:
+            out.write(np.array(head, dtype=np.int64))
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _head(fd):
+    """A child's head, read from its pipe; ValueError if the child failed
+    before sending it."""
+    head = np.empty(5, dtype=np.int64)
+    if not _fill(fd, head):
+        raise ValueError("a range did not parse")
+    return tuple(head.tolist())
+
+
+def _width(heads):
+    """The field count of the rows of every range, from their heads.
+
+    ValueError, which sends the file to the row parser, if a range reads
+    fewer rows than lines (a quoted field across lines), or ends inside a
+    quoted field that `csv` would carry into the next range, or into a
+    blank line of its own if it is the last; or if no range has rows, or
+    two ranges differ in width.
+    """
+    for i, (rows, _, lines, blank, quoted) in enumerate(heads):
+        if rows != lines or quoted and (i + 1 < len(heads) or blank):
+            raise ValueError("csv may read a line into a field")
+    widths = {width for rows, width, *_ in heads if rows}
+    if len(widths) != 1:
+        raise ValueError("no rows, or ranges of different widths")
+    return widths.pop()
+
+
+def _place(data, used, out):
+    """out = data[:, used], one column at a time, with no temporary."""
+    for jj, j in enumerate(used):
+        out[:, jj] = data[:, j]
+
+
+def _receive(fd, out, width, used):
+    """Read a child's (len(out), width) array from its pipe, a block of
+    rows at a time, into out, keeping the `used` columns."""
+    part = np.empty((min(len(out), BLOCK), width))
+    for at in range(0, len(out), len(part)):
+        piece = part[:len(out) - at]
+        if not _fill(fd, piece):
+            raise ValueError("a range's array ended early")
+        _place(piece, used, out[at:at + len(piece)])
+
+
+def ingest(spec):
+    """Read a delimited file into covariates and an optional response.
+
+    The header and `skip_rows` go through `csv.reader`.  The numeric
+    block after them is cut into W byte ranges (`_ranges`): W is the
+    number of usable CPUs, from `os.sched_getaffinity`, but at most one
+    range per CHUNK bytes, so a small file, a pipe, or a platform without
+    `os.sched_getaffinity`, is one range.  The first range is parsed in
+    this process and each other one in a forked child process, which
+    sends its array back over a pipe and is reaped before this returns;
+    the children's memory is therefore not in this process's peak RSS.
+    Every range is parsed by one `np.loadtxt` call, which splits quoted
+    fields as `csv` does (a quoted `"4"` reads as 4) and skips the header
+    columns the spec leaves unused (a text id, say); the used columns go
+    straight into one array.  Whitespace-only lines are dropped and
+    counted as rejected.
+
+    The row-by-row parser `_ingest_rows` reads the file instead if a
+    line is longer than `csv.field_size_limit()` or holds an odd number
+    of quotes, or if a range fails to parse, finds a non-finite value or
+    a field count other than the header's, or reads fewer rows than
+    lines (a quoted field across lines), or if no range finds a row.  It
+    also does if a range but the last ends inside a quoted field, which
+    `csv` would carry into the next range, or if the last range holds a
+    blank line and ends inside a quoted field, into which `csv` could
+    read the blank line.  Where both succeed they give the same arrays;
+    the row parser also reads cells only `float()` reads (`1_0`,
+    non-ASCII digits), and otherwise raises the error naming the
+    offending line and column.  A column that does not resolve is
+    reported once the whole block has parsed, so a bad row is still
+    reported first.  `Dataset.chunks` is W, or 0 when the row parser
+    read the file.
+    """
+    column_error = columns = None
     unused = {}
+    children = []
     with _open(spec) as fh:
         try:
-            _, names = _header(fh, spec)
+            _, names = _header(iter(fh.readline, ""), spec)
             if names is not None:
                 try:
                     columns = _columns(spec, names)
@@ -178,27 +362,51 @@ def ingest(spec):
                     used = _used(columns)
                     unused = {j: _skip for j in range(len(names))
                               if j not in used}
-            with warnings.catch_warnings():
-                # a file without data rows warns; the fallback reports it
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(data_lines(fh), converters=unused,
-                                  quotechar='"', delimiter=spec.delimiter,
-                                  comments=None, ndmin=2, dtype=float)
-            if blank and (len(data) != lines
-                          or _ends_quoted(last, spec.delimiter)):
-                data = None   # csv may read a blank line into a field
-        except (ValueError, TypeError, csv.Error, IngestError):
+            # a pipe has no offsets: it is parsed as it streams in
+            ranges = _ranges(fh, fh.tell()) if fh.seekable() else []
+            parse = functools.partial(_parse_range, spec.path, fh.encoding,
+                                      spec.delimiter, unused)
+            for first, stop in ranges[1:]:
+                children.append(_fork(parse, first, stop,
+                                      [fd for _, fd in children]))
+            own, head = parse(*ranges[0]) if ranges else \
+                _parse(fh, spec.delimiter, unused)
+            heads = [head] + [_head(fd) for _, fd in children]
+            width = _width(heads)
+            if names is None:
+                names = [f"c{j}" for j in range(width)]
+                columns = _columns(spec, names)
+            if len(names) != width:
+                raise ValueError("the row parser names the mismatch")
+            if column_error is not None:
+                raise column_error
+            used = _used(columns)
+            # column-major, as `data[:, used]` was: each column is
+            # contiguous for the column passes of scaling and seeding
+            data = np.empty((sum(h[0] for h in heads), len(used)),
+                            order="F")
+            at = len(own)
+            if at:
+                _place(own, used, data[:at])
+            # data's pages become resident as it fills: own goes before
+            # the children's rows arrive
+            del own
+            for (_, fd), (rows, *_) in zip(children, heads[1:]):
+                if rows:
+                    _receive(fd, data[at:at + rows], width, used)
+                at += rows
+        except (ValueError, TypeError, csv.Error, OSError):
             data = None   # TypeError: a newline or quote delimiter
-    if data is None or not data.size or not np.isfinite(data).all():
+        finally:
+            for pid, fd in children:
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if data is None or not all(np.isfinite(data[i:i + BLOCK]).all()
+                               for i in range(0, len(data), BLOCK)):
         return _ingest_rows(spec)
-    if names is None:
-        names = [f"c{j}" for j in range(data.shape[1])]
-        columns = _columns(spec, names)
-    if len(names) != data.shape[1]:
-        return _ingest_rows(spec)   # it names the mismatch
-    if column_error is not None:
-        raise column_error
-    return _dataset(names, columns, data[:, _used(columns)], blank)
+    return _dataset(names, columns, data, sum(h[3] for h in heads),
+                    len(heads))
 
 
 def _ingest_rows(spec):
@@ -255,4 +463,4 @@ def _ingest_rows(spec):
         raise IngestError(
             f"{spec.path}:{line_no}: non-finite value "
             f"{row[used[jj]].strip()!r} in column {names[used[jj]]!r}")
-    return _dataset(names, columns, data, rejected)
+    return _dataset(names, columns, data, rejected, 0)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ConstantColumnError(Exception):
-    """A covariate column is constant; scaling to [-1, 1] is undefined."""
+class ColumnRangeError(Exception):
+    """A covariate column is constant or its range overflows; scaling to
+    [-1, 1] is undefined."""
 
 
 @dataclass
@@ -59,13 +60,16 @@ def scale_to_unit_cube(x):
     tail = x[BLOCK * lo.shape[0]:]
     lo = np.concatenate((lo, tail)).min(axis=0)
     hi = np.concatenate((hi, tail)).max(axis=0)
-    if np.any(hi <= lo):
-        cols = np.flatnonzero(hi <= lo)
-        raise ConstantColumnError(f"constant column(s): {cols.tolist()}")
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    for bad, what in ((hi <= lo, "constant column(s)"),
+                      (np.isinf(span), "column(s) whose range overflows")):
+        if bad.any():
+            raise ColumnRangeError(f"{what}: {np.flatnonzero(bad).tolist()}")
     # 2(x - lo)/(hi - lo) - 1, evaluated in that order on one temporary
     scaled = x - lo
     scaled *= 2.0
-    scaled /= hi - lo
+    scaled /= span
     scaled -= 1.0
     return scaled, (lo, hi)
 
@@ -222,24 +226,33 @@ def oss_seed(x, k):
     pos, neg = _pack(x > 0), _pack(x < 0)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = int(np.argmax(norms2))
-    # live rows in ascending order, so argmin ties go to the lower index
-    ids = np.delete(np.arange(n), chosen[0])
-    loss = np.zeros(ids.size)
+    # Until the first elimination every row but the picks is live, so
+    # `ids` is None, the loss covers all n rows with the picks held at
+    # +inf, and pos, neg and base are read whole.  After it `ids` lists
+    # the live rows in ascending order.  Either way argmin ties go to the
+    # lower row.
+    ids = None
+    loss = np.zeros(n)
     r = math.log(n) / math.log(k) if k > 1 else 1.0   # k = 1: no loop
     for i in range(1, k):
         s = chosen[i - 1]
-        differ = np.bitwise_count((pos[ids] ^ pos[s]) | (neg[ids] ^ neg[s]))
+        rows = slice(None) if ids is None else ids
+        differ = np.bitwise_count((pos[rows] ^ pos[s]) | (neg[rows] ^ neg[s]))
         # (p - |x|^2/2 - |s|^2/2 + match)^2, in that order of operations
-        d = base[ids]
-        d -= norms2[s] / 2.0
+        d = base[rows] - norms2[s] / 2.0
         d += p - differ.sum(axis=1, dtype=np.intp)
         d *= d
         loss += d
+        if ids is None:
+            loss[chosen[:i]] = np.inf
         keep = max(math.floor(n / i ** (r - 1.0)), k - i)
-        if keep < ids.size:
+        if keep < (n - i if ids is None else ids.size):
             live = _smallest(loss, keep)
-            ids, loss = ids[live], loss[live]
+            ids, loss = live if ids is None else ids[live], loss[live]
         j = int(np.argmin(loss))
-        chosen[i] = ids[j]
-        ids, loss = np.delete(ids, j), np.delete(loss, j)
+        if ids is None:
+            chosen[i] = j
+        else:
+            chosen[i] = ids[j]
+            ids, loss = np.delete(ids, j), np.delete(loss, j)
     return Selection(chosen)

@@ -271,7 +271,7 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
     head = (rep, rep_seed, cfg.k, cfg.K, cfg.alg1_iterations)
     try:
         x_scaled, _ = seeding.scale_to_unit_cube(x)
-    except seeding.ConstantColumnError as exc:
+    except seeding.ColumnRangeError as exc:
         return [RunRecord(m, *head, None, None, 0.0, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}

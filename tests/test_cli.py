@@ -6,7 +6,9 @@ import json
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +158,7 @@ class TestIngestPaths:
                           covariates=covariates)
         ds, ref = ingest(spec), _ingest_rows(spec)
         assert row_parses == []
+        assert (ds.chunks, ref.chunks) == (1, 0)
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
         assert ds.columns == ref.columns
@@ -244,6 +247,7 @@ class TestIngestPaths:
         path.write_text('u,v\n1_0,"4"\n2,3\n')
         ds = ingest(IngestSpec(str(path)))
         assert len(row_parses) == 1
+        assert ds.chunks == 0
         assert ds.x.tolist() == [[10.0, 4.0], [2.0, 3.0]]
 
     def test_single_column_without_header(self, tmp_path, row_parses):
@@ -357,9 +361,7 @@ def _outcome(parse, spec):
         return str(exc)
 
 
-@settings(max_examples=200)
-@given(case=ingest_file())
-def test_ingest_matches_row_parser(fuzz_dir, case):
+def _matches_row_parser(fuzz_dir, case):
     text, fields = case
     path = fuzz_dir / "ingest.txt"
     with open(path, "w", newline="") as fh:
@@ -375,6 +377,112 @@ def test_ingest_matches_row_parser(fuzz_dir, case):
         got.y.tobytes() == ref.y.tobytes()
     assert (got.columns, got.response_column, got.n_rejected) == \
         (ref.columns, ref.response_column, ref.n_rejected)
+
+
+@settings(max_examples=200)
+@given(case=ingest_file())
+def test_ingest_matches_row_parser(fuzz_dir, case):
+    _matches_row_parser(fuzz_dir, case)
+
+
+@contextlib.contextmanager
+def split_ranges(cpus=4):
+    """Cut every numeric block into up to `cpus` byte ranges."""
+    with mock.patch.object(ingest_module, "CHUNK", 1), \
+            mock.patch.object(os, "sched_getaffinity", create=True,
+                              new=lambda pid: set(range(cpus))):
+        yield
+
+
+@settings(max_examples=200)
+@given(case=ingest_file())
+def test_split_ingest_matches_row_parser(fuzz_dir, case):
+    with split_ranges():
+        _matches_row_parser(fuzz_dir, case)
+
+
+def _cuts(path, first):
+    """The offsets at which `ingest` cuts the block starting at `first`."""
+    with open(path, "rb") as fh:
+        return [a for a, _ in ingest_module._ranges(fh, first)[1:]]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitParse:
+    """A numeric block parsed in several byte ranges, one per process."""
+
+    def test_same_arrays_and_no_child_left(self, csv_file, row_parses):
+        spec = IngestSpec(str(csv_file), response="resp",
+                          covariates=["c", "a"])
+        with split_ranges():
+            ds = ingest(spec)
+        _no_child_left()
+        ref = ingest(spec)
+        assert (ds.chunks, ref.chunks, row_parses) == (4, 1, [])
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        # column-major, for the column passes of scaling and seeding
+        assert ds.x.flags.f_contiguous and ref.x.flags.f_contiguous
+
+    @pytest.mark.parametrize("row", [1, -2], ids=["first-range",
+                                                   "last-range"])
+    def test_bad_cell_names_location(self, csv_file, row_parses, row):
+        lines = csv_file.read_text().splitlines(keepends=True)
+        lines[row] = "0.1,0.2,oops,0.3\n"
+        csv_file.write_text("".join(lines))
+        spec = IngestSpec(str(csv_file), response="resp")
+        with split_ranges():
+            cuts = _cuts(csv_file, len(lines[0]))
+            with pytest.raises(IngestError) as got:
+                ingest(spec)
+        _no_child_left()
+        assert len(cuts) == 3
+        at = len("".join(lines[:row]))   # the bad line's offset
+        assert (at < cuts[0]) if row == 1 else (at >= cuts[-1])
+        with pytest.raises(IngestError) as ref:
+            _ingest_rows(spec)
+        line = row % len(lines) + 1
+        assert str(got.value) == str(ref.value) == \
+            f"{csv_file}:{line}: non-numeric value 'oops' in column 'c'"
+        assert len(row_parses) == 1
+
+    def test_pipe_is_one_range(self, csv_file, row_parses):
+        # a pipe has no byte offsets, and a second read finds it drained
+        fifo = csv_file.parent / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                                  args=(csv_file.read_bytes(),))
+        writer.start()
+        with split_ranges():
+            ds = ingest(IngestSpec(str(fifo), response="resp"))
+        writer.join(timeout=10)
+        ref = ingest(IngestSpec(str(csv_file), response="resp"))
+        assert (ds.chunks, row_parses) == (1, [])
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+
+    def test_quoted_field_across_ranges_falls_back(self, tmp_path,
+                                                   row_parses):
+        # line 3 opens a quoted field that csv carries into line 4, the
+        # first of the next range; each range on its own parses
+        path = tmp_path / "q.csv"
+        path.write_text('u,s,t\n1,2,3\n4,a"b,"' + "p" * 30
+                        + '\n6,x"y,q"\n')
+        text = path.read_text()
+        spec = IngestSpec(str(path), covariates=["u"])
+        with split_ranges():
+            assert _cuts(path, 6) == [text.index("6,x")]
+            with pytest.raises(IngestError) as got:
+                ingest(spec)
+        assert len(row_parses) == 1
+        with pytest.raises(IngestError) as ref:
+            _ingest_rows(spec)
+        assert str(got.value) == str(ref.value) == \
+            f"{path}:3: expected 3 fields, got 4"
 
 
 class TestSelectCommand:
@@ -394,9 +502,12 @@ class TestSelectCommand:
         assert manifest["command"] == "select"
         assert manifest["input_checksum"]
         assert sorted(manifest["timings"]) == \
-            ["efficiency_s", "exchange_s", "ingest_s", "pool_s", "scale_s",
-             "seed_s", "select_seconds", "total_seconds"]
+            ["efficiency_s", "exchange_s", "ingest_chunks", "ingest_s",
+             "pool_s", "scale_s", "seed_s", "select_seconds",
+             "total_seconds"]
         assert all(t > 0 for t in manifest["timings"].values())
+        # one byte range: the file is far below ingest.CHUNK
+        assert manifest["timings"]["ingest_chunks"] == 1
 
     def test_iboss_k_equals_n(self, csv_file, tmp_path):
         out = tmp_path / "out"
@@ -450,6 +561,22 @@ class TestSelectCommand:
                       + args)
         assert rc == cli.EXIT_INGEST
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("seed_method", ["oss", "iboss"])
+    def test_overflowing_range_is_input_error(self, tmp_path, capsys,
+                                              seed_method):
+        # every cell is finite, but hi - lo of column 0 is not
+        x = np.random.default_rng(3).standard_normal((300, 3))
+        x[7, 0], x[200, 0] = 1.7e308, -1.7e308
+        path = tmp_path / "big.csv"
+        np.savetxt(path, x, fmt="%.17g", delimiter=",", header="a,b,c",
+                   comments="")
+        rc = cli.main(["select", "--input", str(path), "--method", "alg1",
+                       "--seed-method", seed_method, "--k", "12",
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err == \
+            "error: column(s) whose range overflows: [0]\n"
 
     def test_non_finite_cell_is_config_error(self, csv_file, tmp_path):
         lines = csv_file.read_text().splitlines()

@@ -35,7 +35,17 @@ class TestScaling:
 
     def test_constant_column_rejected(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        with pytest.raises(seeding.ConstantColumnError):
+        with pytest.raises(seeding.ColumnRangeError,
+                           match=r"^constant column\(s\): \[1\]$"):
+            seeding.scale_to_unit_cube(x)
+
+    def test_overflowing_range_rejected(self):
+        # every value is finite, but hi - lo of column 1 is not
+        x = np.column_stack([np.arange(5.0),
+                             [1.7e308, 0.0, -1.7e308, 1.0, 2.0]])
+        with pytest.raises(seeding.ColumnRangeError,
+                           match=r"^column\(s\) whose range overflows: "
+                                 r"\[1\]$"):
             seeding.scale_to_unit_cube(x)
 
 
