@@ -49,6 +49,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _input_checksum(source):
+    """The sha256 of a command's input, given as (path, the checksum
+    `ingest` took, or None), or None if it has no input: a pipe is hashed
+    as `ingest` reads it, since it cannot be read again."""
+    if source is None:
+        return None
+    path, checksum = source
+    return checksum or _sha256(path)
+
+
 def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -163,7 +173,8 @@ def _cmd_select(args, config, outdir):
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return [args.seed], args.input, timings, ["indices.txt", "report.json"]
+    return ([args.seed], (args.input, ds.checksum), timings,
+            ["indices.txt", "report.json"])
 
 
 # ------------------------------------------------- simulate, bootstrap, timing
@@ -255,8 +266,8 @@ def _cmd_bootstrap(args, config, outdir):
     if ds.y is None:
         raise ConfigError("bootstrap requires a response column")
     report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
-    return ([kw["rng_seed"] + b for b in range(kw["B"])], spec.path, {},
-            _write_report(report, outdir))
+    return ([kw["rng_seed"] + b for b in range(kw["B"])],
+            (spec.path, ds.checksum), {}, _write_report(report, outdir))
 
 
 def _cmd_timing(args, config, outdir):
@@ -349,13 +360,15 @@ def _cmd_hull(args, config, outdir):
         print(f"{r['columns'][0]} vs {r['columns'][1]}: "
               f"full area {r['full_area']:.5g}, "
               f"subdata area {r['subdata_area']:.5g}")
-    return [], args.input, {}, outputs
+    return [], (args.input, ds.checksum), {}, outputs
 
 
 # ------------------------------------------------------- runner and replay
 
 # Each command takes (args, config JSON or None, outdir) and returns what
-# its manifest records: (rng seeds, input path or None, timings, outputs).
+# its manifest records: (rng seeds, input or None, timings, outputs), the
+# input as `_input_checksum` takes it.  The input is hashed once the
+# command has returned and its arrays are freed.
 _COMMANDS = {"select": _cmd_select, "simulate": _cmd_simulate,
              "bootstrap": _cmd_bootstrap, "timing": _cmd_timing,
              "hull": _cmd_hull}
@@ -375,7 +388,7 @@ def _run(args, argv, config):
     `timings["total_seconds"]` covers the command and its outputs."""
     start = time.perf_counter()
     outdir = _outdir(args.out)
-    seeds, input_path, timings, outputs = \
+    seeds, source, timings, outputs = \
         _COMMANDS[args.command](args, config, outdir)
     timings["total_seconds"] = time.perf_counter() - start
     _write_json(outdir / "manifest.json", {
@@ -385,7 +398,7 @@ def _run(args, argv, config):
         "argv": argv,
         "config": config,
         "rng_seeds": seeds,
-        "input_checksum": _sha256(input_path) if input_path else None,
+        "input_checksum": _input_checksum(source),
         "timings": timings,
         "outputs": {name: _sha256(outdir / name) for name in outputs},
     })

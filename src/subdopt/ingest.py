@@ -36,6 +36,8 @@ class Dataset:
     response_column: str | None
     n_rejected: int
     chunks: int       # byte ranges parsed; 0 when the row parser read
+    #: sha256 of a pipe input, hashed as it was read; None for a file
+    checksum: str | None = None
 
 
 def _resolve(col, names, what):
@@ -51,15 +53,16 @@ def _resolve(col, names, what):
                           f"available: {names}") from None
 
 
-def _open(spec):
-    """Check the delimiter and skip_rows; open the file as `csv` expects."""
+def _open(spec, path=None):
+    """Check the delimiter and skip_rows; open the file as `csv` expects:
+    `path`, or else spec.path."""
     if len(spec.delimiter) != 1:
         raise IngestError(f"delimiter must be one character, got "
                           f"{spec.delimiter!r}")
     if spec.skip_rows < 0:
         raise IngestError(f"skip_rows must be >= 0, got {spec.skip_rows}")
     try:
-        return open(spec.path, newline="")
+        return open(path or spec.path, newline="")
     except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise IngestError(f"cannot open {spec.path}: {exc}") from exc
 
@@ -190,12 +193,13 @@ def _ranges(fh, first):
     return list(zip(cuts, cuts[1:] + [end]))
 
 
-def _parse(text, delimiter, converters):
-    """Parse the lines of `text` with one `np.loadtxt` call: (array,
-    head), the head being the array's shape, the number of data lines,
-    the number of blank lines and whether the last data line ends inside
-    a quoted field.  A line longer than `csv.field_size_limit()` or with
-    an odd number of quotes raises ValueError."""
+def _parse_range(path, encoding, delimiter, converters, first, stop):
+    """Parse the lines in bytes [first, stop) of the file with one
+    `np.loadtxt` call: (array, head), the head being the array's shape,
+    the number of data lines, the number of blank lines and whether the
+    last data line ends inside a quoted field.  A line longer than
+    `csv.field_size_limit()` or with an odd number of quotes raises
+    ValueError."""
     blank = lines = 0
     last = ""
     limit = csv.field_size_limit()
@@ -212,7 +216,9 @@ def _parse(text, delimiter, converters):
                 last = line
                 yield line
 
-    with warnings.catch_warnings():
+    with io.TextIOWrapper(io.BufferedReader(_Range(path, first, stop)),
+                          encoding=encoding, newline="") as text, \
+            warnings.catch_warnings():
         # a range without data rows warns
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(data_lines(text), converters=converters,
@@ -220,13 +226,6 @@ def _parse(text, delimiter, converters):
                           comments=None, ndmin=2, dtype=float)
     return data, (*data.shape, lines, blank,
                   bool(lines) and _ends_quoted(last, delimiter))
-
-
-def _parse_range(path, encoding, delimiter, converters, first, stop):
-    """`_parse` on bytes [first, stop) of the file."""
-    with io.TextIOWrapper(io.BufferedReader(_Range(path, first, stop)),
-                          encoding=encoding, newline="") as text:
-        return _parse(text, delimiter, converters)
 
 
 def _fill(fd, buf):
@@ -320,7 +319,7 @@ def ingest(spec):
     The header and `skip_rows` go through `csv.reader`.  The numeric
     block after them is cut into W byte ranges (`_ranges`): W is the
     number of usable CPUs, from `os.sched_getaffinity`, but at most one
-    range per CHUNK bytes, so a small file, a pipe, or a platform without
+    range per CHUNK bytes, so a small file, or a platform without
     `os.sched_getaffinity`, is one range.  The first range is parsed in
     this process and each other one in a forked child process, which
     sends its array back over a pipe and is reaped before this returns;
@@ -346,79 +345,106 @@ def ingest(spec):
     reported once the whole block has parsed, so a bad row is still
     reported first.  `Dataset.chunks` is W, or 0 when the row parser
     read the file.
+
+    An input that cannot seek (a pipe, or a `<(...)` process
+    substitution) is read once: it is copied to a temporary file CHUNK
+    bytes at a time, hashed as it is copied (`Dataset.checksum`), read
+    from that copy as above, and the copy is removed before this
+    returns.  Errors still name spec.path.
     """
+    with _open(spec) as fh:
+        if fh.seekable():
+            return _ingest(spec, fh)
+        import hashlib
+        import tempfile
+        digest = hashlib.sha256()
+        # closing the copy removes it, on an error too
+        with tempfile.NamedTemporaryFile(suffix=".csv") as copy:
+            try:
+                for block in iter(lambda: fh.buffer.read(CHUNK), b""):
+                    digest.update(block)
+                    copy.write(block)
+                copy.flush()
+            except OSError as exc:   # a full disk, say
+                raise IngestError(f"cannot copy {spec.path}: {exc}") \
+                    from exc
+            with _open(spec, copy.name) as text:
+                ds = _ingest(spec, text)
+    ds.checksum = digest.hexdigest()
+    return ds
+
+
+def _ingest(spec, fh):
+    """`ingest` of the open file fh, which can seek."""
     column_error = columns = None
     unused = {}
     children = []
-    with _open(spec) as fh:
-        try:
-            _, names = _header(iter(fh.readline, ""), spec)
-            if names is not None:
-                try:
-                    columns = _columns(spec, names)
-                except IngestError as exc:
-                    column_error = exc   # raised once the rows parse
-                else:
-                    used = _used(columns)
-                    unused = {j: _skip for j in range(len(names))
-                              if j not in used}
-            # a pipe has no offsets: it is parsed as it streams in
-            ranges = _ranges(fh, fh.tell()) if fh.seekable() else []
-            parse = functools.partial(_parse_range, spec.path, fh.encoding,
-                                      spec.delimiter, unused)
-            for first, stop in ranges[1:]:
-                children.append(_fork(parse, first, stop,
-                                      [fd for _, fd in children]))
-            own, head = parse(*ranges[0]) if ranges else \
-                _parse(fh, spec.delimiter, unused)
-            heads = [head] + [_head(fd) for _, fd in children]
-            width = _width(heads)
-            if names is None:
-                names = [f"c{j}" for j in range(width)]
+    try:
+        _, names = _header(iter(fh.readline, ""), spec)
+        if names is not None:
+            try:
                 columns = _columns(spec, names)
-            if len(names) != width:
-                raise ValueError("the row parser names the mismatch")
-            if column_error is not None:
-                raise column_error
-            used = _used(columns)
-            # column-major, as `data[:, used]` was: each column is
-            # contiguous for the column passes of scaling and seeding
-            data = np.empty((sum(h[0] for h in heads), len(used)),
-                            order="F")
-            at = len(own)
-            if at:
-                _place(own, used, data[:at])
-            # data's pages become resident as it fills: own goes before
-            # the children's rows arrive
-            del own
-            for (_, fd), (rows, *_) in zip(children, heads[1:]):
-                if rows:
-                    _receive(fd, data[at:at + rows], width, used)
-                at += rows
-        except (ValueError, TypeError, csv.Error, OSError):
-            data = None   # TypeError: a newline or quote delimiter
-        finally:
-            for pid, fd in children:
-                os.close(fd)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            except IngestError as exc:
+                column_error = exc   # raised once the rows parse
+            else:
+                used = _used(columns)
+                unused = {j: _skip for j in range(len(names))
+                          if j not in used}
+        ranges = _ranges(fh, fh.tell())
+        parse = functools.partial(_parse_range, fh.name, fh.encoding,
+                                  spec.delimiter, unused)
+        for first, stop in ranges[1:]:
+            children.append(_fork(parse, first, stop,
+                                  [fd for _, fd in children]))
+        own, head = parse(*ranges[0])
+        heads = [head] + [_head(fd) for _, fd in children]
+        width = _width(heads)
+        if names is None:
+            names = [f"c{j}" for j in range(width)]
+            columns = _columns(spec, names)
+        if len(names) != width:
+            raise ValueError("the row parser names the mismatch")
+        if column_error is not None:
+            raise column_error
+        used = _used(columns)
+        # column-major, as `data[:, used]` was: each column is
+        # contiguous for the column passes of scaling and seeding
+        data = np.empty((sum(h[0] for h in heads), len(used)), order="F")
+        at = len(own)
+        if at:
+            _place(own, used, data[:at])
+        # data's pages become resident as it fills: own goes before
+        # the children's rows arrive
+        del own
+        for (_, fd), (rows, *_) in zip(children, heads[1:]):
+            if rows:
+                _receive(fd, data[at:at + rows], width, used)
+            at += rows
+    except (ValueError, TypeError, csv.Error, OSError):
+        data = None   # TypeError: a newline or quote delimiter
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     if data is None or not all(np.isfinite(data[i:i + BLOCK]).all()
                                for i in range(0, len(data), BLOCK)):
-        return _ingest_rows(spec)
+        return _ingest_rows(spec, fh.name)
     return _dataset(names, columns, data, sum(h[3] for h in heads),
                     len(heads))
 
 
-def _ingest_rows(spec):
-    """Row-by-row parser: `csv.reader` rows, `float()` on each used cell.
+def _ingest_rows(spec, path=None):
+    """Row-by-row parser: `csv.reader` rows, `float()` on each used cell,
+    of `path`, or else spec.path.
 
     Blank lines are rejected (and counted); a wrong field count or a
     non-numeric or non-finite cell is a hard error naming the offending
-    location.
+    location in spec.path.
     """
     rows = []
     rejected = 0
-    with _open(spec) as fh:
+    with _open(spec, path) as fh:
         try:
             reader, header_names = _header(fh, spec)
             width = None

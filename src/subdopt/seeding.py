@@ -31,6 +31,14 @@ class Selection:
 #: Rows per block of `_block_extremes`
 BLOCK = 64
 
+#: Rows per pass of the loops that keep their working set in cache: the
+#: sweep of `_block_extremes`, the scaling of a row-major array, and the
+#: OSS set-up and loss updates
+ROWS = 4096
+
+#: Rows per tile of the column ranges when a row-major array is scaled
+TILE = 256
+
 
 def _block_extremes(x):
     """Per-column minima and maxima of the rows of x in blocks: two
@@ -38,16 +46,29 @@ def _block_extremes(x):
 
     With s = n // BLOCK, block g holds the BLOCK rows g, g + s, ...,
     g + (BLOCK - 1)s, so the pass is BLOCK sweeps over s contiguous rows
-    and needs no copy of x.  The last n % BLOCK rows are in no block.
+    and needs no copy of x.  The sweeps go ROWS rows of s at a time, so
+    the accumulators stay in cache.  The last n % BLOCK rows are in no
+    block.
     """
     s = x.shape[0] // BLOCK
-    lo = x[:s].copy()
-    hi = lo.copy()
-    for i in range(1, BLOCK):
-        rows = x[i * s:(i + 1) * s]
-        np.minimum(lo, rows, out=lo)
-        np.maximum(hi, rows, out=hi)
+    lo = np.empty((s, x.shape[1]), dtype=x.dtype)
+    hi = np.empty_like(lo)
+    for a in range(0, s, ROWS):
+        b = min(a + ROWS, s)
+        lo[a:b] = hi[a:b] = x[a:b]
+        for i in range(1, BLOCK):
+            rows = x[i * s + a:i * s + b]
+            np.minimum(lo[a:b], rows, out=lo[a:b])
+            np.maximum(hi[a:b], rows, out=hi[a:b])
     return lo, hi
+
+
+def _to_cube(x, lo, span, out):
+    """out = 2(x - lo)/span - 1, evaluated in that order."""
+    np.subtract(x, lo, out=out)
+    out *= 2.0
+    out /= span
+    out -= 1.0
 
 
 def scale_to_unit_cube(x):
@@ -66,11 +87,28 @@ def scale_to_unit_cube(x):
                       (np.isinf(span), "column(s) whose range overflows")):
         if bad.any():
             raise ColumnRangeError(f"{what}: {np.flatnonzero(bad).tolist()}")
-    # 2(x - lo)/(hi - lo) - 1, evaluated in that order on one temporary
-    scaled = x - lo
-    scaled *= 2.0
-    scaled /= span
-    scaled -= 1.0
+    scaled = np.empty_like(x)
+    if x.flags.c_contiguous:
+        # broadcasting lo over the rows would run n inner loops of p.  So
+        # TILE rows are flattened into one row of a view, and lo and span,
+        # tiled TILE times, run along it: ROWS rows a call, in loops of
+        # TILE * p; the rows after the last whole TILE read the tiles'
+        # start
+        n, p = x.shape
+        t = min(n, TILE)
+        tlo, tspan = np.tile(lo, t), np.tile(span, t)
+        whole = n - n % t
+        rows = x[:whole].reshape(-1, t * p)
+        out = scaled[:whole].reshape(-1, t * p)
+        step = ROWS // t
+        for a in range(0, len(rows), step):
+            _to_cube(rows[a:a + step], tlo, tspan, out[a:a + step])
+        rest = (n - whole) * p
+        _to_cube(x[whole:].reshape(-1), tlo[:rest], tspan[:rest],
+                 scaled[whole:].reshape(-1))
+    else:
+        # column-major, as `ingest` returns it: the loops run down columns
+        _to_cube(x, lo, span, scaled)
     return scaled, (lo, hi)
 
 
@@ -171,24 +209,67 @@ def iboss_seed(x, k):
     return Selection(np.concatenate(chosen))
 
 
-def _pack(bits):
-    """Each row of a boolean matrix as ceil(p / 64) uint64 words, bit i of
-    the row in bit i % 64 of word i // 64.
+def _pack(compare, x, buf, out):
+    """The signs compare(x, 0) of the rows of x, packed into `out`, a
+    zeroed (rows, ceil(p / 64)) uint64 array: bit i of a row in bit i % 64
+    of word i // 64.  `buf` is a scratch array of at least rows * p + 8
+    booleans, made by np.zeros: a byte other than 0 or 1 would carry into
+    the packed bits.
 
-    Eight bits of a row, one byte each, read as one little-endian uint64:
-    times 0x0102040810204080, byte i lands in bit 56 + i with no carry
-    into those bits, so a shift by 56 leaves them packed in one byte.
+    The comparison fills buf row after row with no padding.  Signs 8g to
+    8g + 7 of every row, one byte each, are read from buf as one unaligned
+    little-endian uint64 per row, at a stride of p bytes: times
+    0x0102040810204080, byte i lands in bit 56 + i with no carry into
+    those bits, so a shift leaves them packed in byte g % 8 of the word.
+    The mask clears the other bits, among them those the read took from
+    the next row (or from buf's last 8 entries).
     """
-    n, p = bits.shape
-    nbytes = -(-p // 8)
-    padded = np.zeros((n, 8 * nbytes), dtype=np.uint8)
-    padded[:, :p] = bits
-    octets = padded.view("<u8")
-    octets *= 0x0102040810204080
-    octets >>= 56
-    packed = np.zeros((n, 8 * -(-p // 64)), dtype=np.uint8)
-    packed[:, :nbytes] = octets
-    return packed.view(np.uint64)
+    rows, p = x.shape
+    compare(x, 0, out=buf[:rows * p].reshape(rows, p))
+    octet = np.empty(rows, dtype=np.uint64)
+    for g in range(-(-p // 8)):
+        np.multiply(np.ndarray(rows, "<u8", buffer=buf, offset=8 * g,
+                               strides=(p,)), 0x0102040810204080, out=octet)
+        at = 8 * (g % 8)
+        octet >>= 56 - at
+        octet &= ((1 << min(8, p - 8 * g)) - 1) << at
+        out[:, g // 8] |= octet
+
+
+def _codes(x):
+    """What the OSS loss reads of each row of x, in one pass of ROWS rows
+    at a time: (|x|^2, p - |x|^2/2, pos, neg).  pos and neg are the sign
+    codes, one bit per coordinate for "positive" and one for "negative"
+    (`_pack`); a coordinate's signs match when both bits agree."""
+    n, p = x.shape
+    norms2, base = np.empty(n), np.empty(n)
+    pos = np.zeros((n, -(-p // 64)), dtype=np.uint64)
+    neg = np.zeros_like(pos)
+    buf = np.zeros(min(n, ROWS) * p + 8, dtype=bool)
+    for a in range(0, n, ROWS):
+        rows = slice(a, a + ROWS)
+        np.einsum("ij,ij->i", x[rows], x[rows], out=norms2[rows])
+        np.divide(norms2[rows], 2.0, out=base[rows])
+        np.subtract(p, base[rows], out=base[rows])
+        _pack(np.greater, x[rows], buf, pos[rows])
+        _pack(np.less, x[rows], buf, neg[rows])
+    return norms2, base, pos, neg
+
+
+def _add_loss(loss, pos, neg, base, signs, h, p):
+    """loss += (base - h + p - differ)^2 for the rows with sign codes pos
+    and neg, where differ counts their coordinates whose sign differs from
+    those of `signs`, the codes of the last pick, and h is half its
+    squared norm."""
+    differ = np.bitwise_count((pos ^ signs[0]) | (neg ^ signs[1]))
+    # the sum over words is exact: one word needs none
+    differ = differ[:, 0] if differ.shape[1] == 1 else \
+        differ.sum(axis=1, dtype=np.intp)
+    # (p - |x|^2/2 - |s|^2/2 + match)^2, in that order of operations
+    d = base - h
+    d += p - differ
+    d *= d
+    loss += d
 
 
 def oss_seed(x, k):
@@ -210,39 +291,33 @@ def oss_seed(x, k):
     loss, both at the elimination boundary and for the next pick, go to
     the lower row index.
 
-    Cost: O(np) to compute p - |x|^2/2 and to pack each row's signs
-    into ceil(p / 64) words per sign, eight signs per multiply (`_pack`);
-    a loss update then costs O(ceil(p / 64)) word operations per live
-    row.
+    Cost: one O(np) pass, ROWS rows at a time, computes p - |x|^2/2 and
+    packs each row's signs into ceil(p / 64) words per sign, eight signs
+    per multiply (`_codes`); a loss update then costs O(ceil(p / 64))
+    word operations per live row, also ROWS rows at a time.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    norms2 = np.einsum("ij,ij->i", x, x)
-    base = p - norms2 / 2.0
-    # sign codes: one bit per coordinate for "positive", one for
-    # "negative"; a coordinate's signs match when both bits agree
-    pos, neg = _pack(x > 0), _pack(x < 0)
+    norms2, base, pos, neg = _codes(x)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = int(np.argmax(norms2))
     # Until the first elimination every row but the picks is live, so
     # `ids` is None, the loss covers all n rows with the picks held at
-    # +inf, and pos, neg and base are read whole.  After it `ids` lists
-    # the live rows in ascending order.  Either way argmin ties go to the
-    # lower row.
+    # +inf, and pos, neg and base are read in place.  After it `ids`
+    # lists the live rows in ascending order.  Either way argmin ties go
+    # to the lower row.
     ids = None
     loss = np.zeros(n)
     r = math.log(n) / math.log(k) if k > 1 else 1.0   # k = 1: no loop
     for i in range(1, k):
         s = chosen[i - 1]
-        rows = slice(None) if ids is None else ids
-        differ = np.bitwise_count((pos[rows] ^ pos[s]) | (neg[rows] ^ neg[s]))
-        # (p - |x|^2/2 - |s|^2/2 + match)^2, in that order of operations
-        d = base[rows] - norms2[s] / 2.0
-        d += p - differ.sum(axis=1, dtype=np.intp)
-        d *= d
-        loss += d
+        signs, h = (pos[s], neg[s]), norms2[s] / 2.0
+        for a in range(0, loss.size, ROWS):
+            rows = slice(a, a + ROWS) if ids is None else ids[a:a + ROWS]
+            _add_loss(loss[a:a + ROWS], pos[rows], neg[rows], base[rows],
+                      signs, h, p)
         if ids is None:
             loss[chosen[:i]] = np.inf
         keep = max(math.floor(n / i ** (r - 1.0)), k - i)

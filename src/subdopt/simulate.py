@@ -198,12 +198,23 @@ def gen_outlier_scenario(n, p, count, mean_shift, rho, rng_seed):
     return x
 
 
+#: Rows per product of `gen_response`.  One product over many more rows
+#: runs on OpenBLAS's worker threads, which then slow the single-threaded
+#: numpy work after it; blocks of this size stay on one thread.  They also
+#: make y independent of the thread count: where OpenBLAS splits one
+#: product among threads, a row at the split can differ in the last bit.
+GEN_ROWS = 4096
+
+
 def gen_response(x, params, rng_seed):
     """y_i = beta0 + x_i . beta1 + eps_i with i.i.d. normal errors."""
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(rng_seed)
     eps = rng.standard_normal(x.shape[0]) * math.sqrt(params.sigma2)
-    return params.beta0 + x @ params.beta1 + eps
+    xb = np.empty(x.shape[0])
+    for a in range(0, x.shape[0], GEN_ROWS):
+        np.matmul(x[a:a + GEN_ROWS], params.beta1, out=xb[a:a + GEN_ROWS])
+    return params.beta0 + xb + eps
 
 
 def _seed(x_scaled, name, k, rng_seed):
@@ -275,13 +286,14 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
         return [RunRecord(m, *head, None, None, 0.0, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}
+    y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
         try:
             sel, _, seconds = select(x_scaled, method, cfg.k, cfg.K,
                                      cfg.alg1_iterations, rep_seed,
                                      cfg.seed_method, cache)
             _, slopes = ols_fit(x, y, sel)
-            b0 = adjusted_intercept(y.mean(), x.mean(axis=0), slopes)
+            b0 = adjusted_intercept(y_bar, x_bar, slopes)
             msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
             eff = metrics.efficiency(x_scaled, sel)
         except (SingularMomentError, np.linalg.LinAlgError) as exc:

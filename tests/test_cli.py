@@ -140,9 +140,9 @@ def row_parses(monkeypatch):
     """Calls of the row-by-row fallback made through `ingest`."""
     calls = []
 
-    def spy(spec):
+    def spy(spec, *path):
         calls.append(spec)
-        return _ingest_rows(spec)
+        return _ingest_rows(spec, *path)
 
     monkeypatch.setattr(ingest_module, "_ingest_rows", spy)
     return calls
@@ -450,8 +450,9 @@ class TestSplitParse:
             f"{csv_file}:{line}: non-numeric value 'oops' in column 'c'"
         assert len(row_parses) == 1
 
-    def test_pipe_is_one_range(self, csv_file, row_parses):
-        # a pipe has no byte offsets, and a second read finds it drained
+    def test_pipe_is_read_once(self, csv_file, row_parses, temp_dir):
+        # a pipe has no byte offsets, and a second read finds it drained:
+        # it is copied to a temporary file, which is cut into ranges
         fifo = csv_file.parent / "fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, daemon=True,
@@ -460,10 +461,15 @@ class TestSplitParse:
         with split_ranges():
             ds = ingest(IngestSpec(str(fifo), response="resp"))
         writer.join(timeout=10)
+        _no_child_left()
         ref = ingest(IngestSpec(str(csv_file), response="resp"))
-        assert (ds.chunks, row_parses) == (1, [])
+        assert (ds.chunks, row_parses, list(temp_dir.iterdir())) == \
+            (4, [], [])
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.checksum == hashlib.sha256(csv_file.read_bytes()) \
+            .hexdigest()
+        assert ref.checksum is None
 
     def test_quoted_field_across_ranges_falls_back(self, tmp_path,
                                                    row_parses):
@@ -483,6 +489,67 @@ class TestSplitParse:
             _ingest_rows(spec)
         assert str(got.value) == str(ref.value) == \
             f"{path}:3: expected 3 fields, got 4"
+
+
+@pytest.fixture
+def temp_dir(tmp_path, monkeypatch):
+    """The directory `tempfile` makes its files in, for this test."""
+    path = tmp_path / "temp"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+@contextlib.contextmanager
+def process_substitution(data):
+    """The path `<(cat file)` gives for a file holding `data`: /dev/fd/N,
+    N the read end of a pipe that a thread fills and closes."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: open(w, "wb").write(data),
+                              daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+
+
+class TestPipeInput:
+    """`--input <(cat data.csv)`: a pipe, which can be read only once."""
+
+    def test_checksum_is_the_inputs(self, csv_file, tmp_path, temp_dir):
+        argv = ["select", "--response", "resp", "--method", "valg1",
+                "--k", "12", "--K", "6"]
+        with process_substitution(csv_file.read_bytes()) as path:
+            assert cli.main(argv + ["--input", path, "--out",
+                                    str(tmp_path / "pipe")]) == 0
+        _no_child_left()
+        assert list(temp_dir.iterdir()) == []
+        assert cli.main(argv + ["--input", str(csv_file), "--out",
+                                str(tmp_path / "file")]) == 0
+        manifests = [json.loads((tmp_path / out / "manifest.json")
+                                .read_text()) for out in ("pipe", "file")]
+        assert [m["input_checksum"] for m in manifests] == \
+            [hashlib.sha256(csv_file.read_bytes()).hexdigest()] * 2
+        assert (tmp_path / "pipe" / "report.json").read_bytes() == \
+            (tmp_path / "file" / "report.json").read_bytes()
+
+    def test_bad_cell_names_its_line(self, tmp_path, capsys, temp_dir):
+        rows = np.random.default_rng(12).standard_normal((100, 11))
+        lines = [",".join(f"x{j}" for j in range(1, 11)) + ",y\n"]
+        lines += [",".join(f"{v:.6f}" for v in row) + "\n" for row in rows]
+        lines[50] = lines[50].replace(lines[50].split(",")[1], "oops", 1)
+        with process_substitution("".join(lines).encode()) as path:
+            rc = cli.main(["select", "--input", path, "--response", "y",
+                           "--method", "oss", "--k", "10", "--out",
+                           str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            f"error: {path}:51: non-numeric value 'oops' in column 'x2'\n"
+        assert list(temp_dir.iterdir()) == []
 
 
 class TestSelectCommand:

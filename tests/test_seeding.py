@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,13 +26,21 @@ class TestScaling:
         # the first and the last of the rows after the last whole block
         tail = rng.standard_normal((50 * seeding.BLOCK + 37, 3))
         tail[50 * seeding.BLOCK, 0], tail[-1, 1] = -9.0, 9.0
+        # a row-major array is scaled ROWS rows at a time, in tiles of
+        # TILE rows: n at and around the edges of those blocks, in both
+        # layouts; n = 3 ROWS + 37 ends in a part tile
+        rows = seeding.ROWS
+        edges = [np.asarray(rng.standard_normal((n, 3)) * 5 - 2, order=o)
+                 for n in (rows - 1, rows, rows + 1, 3 * rows + 37)
+                 for o in "CF"]
         for x in (rng.standard_normal((300, 4)) * 7 + 3,
                   rng.integers(-3, 4, (200, 5)).astype(float), tail,
-                  rng.standard_normal((seeding.BLOCK - 1, 2))):
+                  rng.standard_normal((seeding.BLOCK - 1, 2)), *edges):
             lo, hi = x.min(axis=0), x.max(axis=0)
             scaled, _ = seeding.scale_to_unit_cube(x)
             want = 2.0 * (x - lo) / (hi - lo) - 1.0
-            assert scaled.tobytes() == want.tobytes()
+            assert scaled.tobytes(order="A") == want.tobytes(order="A")
+            assert scaled.flags.c_contiguous == x.flags.c_contiguous
 
     def test_constant_column_rejected(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -172,12 +181,34 @@ class TestOssSeed:
         assert set(sel.indices) == set(range(40, 48))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_extremes_over_chunks(order):
+    # s = n // BLOCK rows per sweep, swept ROWS at a time: s is not a
+    # multiple of ROWS, and n not one of BLOCK
+    s = 2 * seeding.ROWS + 37
+    rng = np.random.default_rng(31)
+    x = np.asarray(rng.integers(-40, 41, (seeding.BLOCK * s + 5, 3)),
+                   dtype=float, order=order)
+    lo, hi = seeding._block_extremes(x)
+    # block g holds the rows g, g + s, ..., g + (BLOCK - 1)s
+    blocks = x[:seeding.BLOCK * s].reshape(seeding.BLOCK, s, 3)
+    assert lo.tobytes() == blocks.min(axis=0).tobytes()
+    assert hi.tobytes() == blocks.max(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 7, 8, 9, 63, 64, 65, 130])
 def test_pack_matches_packbits(p):
-    bits = np.random.default_rng(p).random((300, p)) < 0.5
-    want = np.zeros((300, 8 * -(-p // 64)), dtype=np.uint8)
-    want[:, :-(-p // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    assert seeding._pack(bits).tobytes() == want.tobytes()
+    x = np.random.default_rng(p).choice([-1.5, -0.0, 0.0, np.nan, 2.0],
+                                        (300, p))
+    # a scratch buffer full of signs of earlier rows: none may leak
+    buf = np.ones(300 * p + 8, dtype=bool)
+    for compare in (np.greater, np.less):
+        want = np.zeros((300, 8 * -(-p // 64)), dtype=np.uint8)
+        want[:, :-(-p // 8)] = np.packbits(compare(x, 0), axis=1,
+                                           bitorder="little")
+        out = np.zeros((300, -(-p // 64)), dtype=np.uint64)
+        seeding._pack(compare, x, buf, out)
+        assert out.tobytes() == want.tobytes()
 
 
 def oss_loop(x, k):
@@ -389,6 +420,38 @@ class TestReferenceEquivalence:
         x = tie_heavy(seed, 150, p, levels=2) / 2.0
         x[:, -1] = np.random.default_rng(seed).uniform(-1, 1, 150)
         assert seeding.oss_seed(x, 12).indices.tolist() == oss_loop(x, 12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, k", [
+        (seeding.ROWS - 1, 10),
+        (seeding.ROWS + 1, 10),
+        # k > sqrt(n): the live rows after the second pick span two blocks
+        (2 * seeding.ROWS + 37, 100),
+    ])
+    def test_oss_across_row_blocks(self, n, k, order):
+        x = np.asarray(tie_heavy(n, n, 3, levels=2) / 2.0, order=order)
+        x[:, 2] += np.random.default_rng(n).uniform(-0.2, 0.2, n)
+        norms2, base, pos, neg = seeding._codes(x)
+        assert norms2.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+        assert base.tobytes() == (3 - norms2 / 2.0).tobytes()
+        for code, signs in ((pos, x > 0), (neg, x < 0)):
+            assert code.view(np.uint8)[:, 0].tolist() == \
+                np.packbits(signs, axis=1, bitorder="little")[:, 0].tolist()
+        assert seeding.oss_seed(x, k).indices.tolist() == oss_loop(x, k)
+
+
+def test_oss_memory_per_row():
+    # the loss, |x|^2, p - |x|^2/2 and the two sign codes take 40 bytes
+    # a row; the set-up and the loss updates go a block of rows at a time
+    n = 200_000
+    x = np.random.default_rng(32).uniform(-1, 1, (n, 10))
+    tracemalloc.start()
+    try:
+        seeding.oss_seed(x, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * n
 
 
 @st.composite

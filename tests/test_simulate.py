@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,36 @@ class TestGenerators:
         params = ModelParams(1.0, [2.0, 3.0], 0.0)
         y = simulate.gen_response(x, params, 0)
         np.testing.assert_allclose(y, 1.0 + x @ [2.0, 3.0])
+
+    def test_blocked_product_is_one_product(self):
+        # n is not a multiple of GEN_ROWS.  The reference is one product
+        # on one BLAS thread, in a child process: on more threads OpenBLAS
+        # splits the rows among them, and a row at a split can differ in
+        # the last bit, so the blocked product does not depend on the
+        # thread count either
+        n = 25 * simulate.GEN_ROWS + 37
+        code = f"""
+import hashlib, math
+import numpy as np
+from subdopt import simulate
+x = simulate.gen_mvn_equicorr({n}, 10, 0.5, 3)
+params = simulate.ModelParams(1.0, np.linspace(-2.0, 2.0, 10), 3.0)
+eps = np.random.default_rng(4).standard_normal({n}) * math.sqrt(3.0)
+for y in (params.beta0 + x @ params.beta1 + eps,
+          simulate.gen_response(x, params, 4)):
+    print(hashlib.sha256(y.tobytes()).hexdigest())
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(simulate.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120,
+                               check=True)
+        x = simulate.gen_mvn_equicorr(n, 10, 0.5, 3)
+        params = ModelParams(1.0, np.linspace(-2.0, 2.0, 10), 3.0)
+        here = simulate.gen_response(x, params, 4)
+        assert child.stdout.split() == \
+            [hashlib.sha256(here.tobytes()).hexdigest()] * 2
 
     def test_residual_variance(self):
         rng = np.random.default_rng(5)
