@@ -78,10 +78,10 @@ def _ingest_spec_from_args(args):
         header=not args.no_header,
         response=_col(args.response) if args.response is not None else None,
         covariates=[_col(c) for c in args.covariates.split(",")]
-        if args.covariates else None,
+        if args.covariates is not None else None,
         skip_rows=args.skip_rows,
         log_columns=[_col(c) for c in args.log_columns.split(",")]
-        if args.log_columns else [],
+        if args.log_columns is not None else [],
     )
 
 

@@ -140,10 +140,6 @@ def _skip(cell):
 #: Fewest bytes of the numeric block per range that `ingest` parses
 CHUNK = 1 << 20
 
-#: Rows per block of the passes that would otherwise need a temporary
-#: the size of the whole array
-BLOCK = 1024
-
 
 class _Range(io.RawIOBase):
     """Bytes [first, stop) of a file, through a handle of its own."""
@@ -198,8 +194,8 @@ def _parse_range(path, encoding, delimiter, converters, first, stop):
     `np.loadtxt` call: (array, head), the head being the array's shape,
     the number of data lines, the number of blank lines and whether the
     last data line ends inside a quoted field.  A line longer than
-    `csv.field_size_limit()` or with an odd number of quotes raises
-    ValueError."""
+    `csv.field_size_limit()` or with an odd number of quotes, or a
+    non-finite value, raises ValueError."""
     blank = lines = 0
     last = ""
     limit = csv.field_size_limit()
@@ -224,28 +220,19 @@ def _parse_range(path, encoding, delimiter, converters, first, stop):
         data = np.loadtxt(data_lines(text), converters=converters,
                           quotechar='"', delimiter=delimiter,
                           comments=None, ndmin=2, dtype=float)
+    # min and max carry a NaN and reach an inf
+    if data.size and not np.isfinite((data.min(), data.max())).all():
+        raise ValueError("a non-finite value")
     return data, (*data.shape, lines, blank,
                   bool(lines) and _ends_quoted(last, delimiter))
 
 
-def _fill(fd, buf):
-    """Read from the pipe `fd` until `buf` is full; False if it ends
-    first."""
-    view = memoryview(buf).cast("B")
-    while view.nbytes:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
 def _fork(parse, first, stop, reads):
     """Run `parse(first, stop)` in a child process, which sends the head,
-    then the array, down a pipe and leaves through `os._exit`, so it
-    never flushes the parent's stdio; it exits 1 if anything fails.
-    `reads` are the read ends of the earlier children, which it closes.
-    Returns (pid, read end)."""
+    then the array column by column, down a pipe and leaves through
+    `os._exit`, so it never flushes the parent's stdio; it exits 1 if
+    anything fails.  `reads` are the earlier children's pipe readers,
+    which it closes.  Returns (pid, buffered reader of the pipe)."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -255,27 +242,19 @@ def _fork(parse, first, stop, reads):
         raise
     if pid:
         os.close(w)
-        return pid, r
+        return pid, open(r, "rb")
     code = 1
     try:
-        for fd in reads + [r]:
+        for fd in [r] + [pipe.fileno() for pipe in reads]:
             os.close(fd)
         data, head = parse(first, stop)
         with open(w, "wb") as out:
             out.write(np.array(head, dtype=np.int64))
-            out.write(data)
+            for column in data.T:
+                out.write(np.ascontiguousarray(column))
         code = 0
     finally:
         os._exit(code)
-
-
-def _head(fd):
-    """A child's head, read from its pipe; ValueError if the child failed
-    before sending it."""
-    head = np.empty(5, dtype=np.int64)
-    if not _fill(fd, head):
-        raise ValueError("a range did not parse")
-    return tuple(head.tolist())
 
 
 def _width(heads):
@@ -296,23 +275,6 @@ def _width(heads):
     return widths.pop()
 
 
-def _place(data, used, out):
-    """out = data[:, used], one column at a time, with no temporary."""
-    for jj, j in enumerate(used):
-        out[:, jj] = data[:, j]
-
-
-def _receive(fd, out, width, used):
-    """Read a child's (len(out), width) array from its pipe, a block of
-    rows at a time, into out, keeping the `used` columns."""
-    part = np.empty((min(len(out), BLOCK), width))
-    for at in range(0, len(out), len(part)):
-        piece = part[:len(out) - at]
-        if not _fill(fd, piece):
-            raise ValueError("a range's array ended early")
-        _place(piece, used, out[at:at + len(piece)])
-
-
 def ingest(spec):
     """Read a delimited file into covariates and an optional response.
 
@@ -322,11 +284,12 @@ def ingest(spec):
     range per CHUNK bytes, so a small file, or a platform without
     `os.sched_getaffinity`, is one range.  The first range is parsed in
     this process and each other one in a forked child process, which
-    sends its array back over a pipe and is reaped before this returns;
-    the children's memory is therefore not in this process's peak RSS.
-    Every range is parsed by one `np.loadtxt` call, which splits quoted
-    fields as `csv` does (a quoted `"4"` reads as 4) and skips the header
-    columns the spec leaves unused (a text id, say); the used columns go
+    sends its array's columns back over a pipe and is reaped before this
+    returns; the children's memory is therefore not in this process's
+    peak RSS.  Every range is parsed by one `np.loadtxt` call, which
+    splits quoted fields as `csv` does (a quoted `"4"` reads as 4) and
+    skips the header columns the spec leaves unused (a text id, say),
+    and is checked for a non-finite value; the used columns are read
     straight into one array.  Whitespace-only lines are dropped and
     counted as rejected.
 
@@ -395,9 +358,14 @@ def _ingest(spec, fh):
                                   spec.delimiter, unused)
         for first, stop in ranges[1:]:
             children.append(_fork(parse, first, stop,
-                                  [fd for _, fd in children]))
+                                  [pipe for _, pipe in children]))
         own, head = parse(*ranges[0])
-        heads = [head] + [_head(fd) for _, fd in children]
+        heads = [head]
+        for _, pipe in children:
+            got = np.empty(5, dtype=np.int64)
+            if pipe.readinto(got) < got.nbytes:
+                raise ValueError("a range did not parse")
+            heads.append(tuple(got.tolist()))
         width = _width(heads)
         if names is None:
             names = [f"c{j}" for j in range(width)]
@@ -411,24 +379,28 @@ def _ingest(spec, fh):
         # contiguous for the column passes of scaling and seeding
         data = np.empty((sum(h[0] for h in heads), len(used)), order="F")
         at = len(own)
-        if at:
-            _place(own, used, data[:at])
+        own = own.reshape(at, width)   # (0, 1) when range 0 has no rows
+        for jj, j in enumerate(used):
+            data[:at, jj] = own[:, j]
         # data's pages become resident as it fills: own goes before
         # the children's rows arrive
         del own
-        for (_, fd), (rows, *_) in zip(children, heads[1:]):
-            if rows:
-                _receive(fd, data[at:at + rows], width, used)
+        for (_, pipe), (rows, *_) in zip(children, heads[1:]):
+            spare = np.empty(rows)   # for the unused columns
+            for j in range(width):
+                column = data[at:at + rows, used.index(j)] if j in used \
+                    else spare
+                if pipe.readinto(column) < column.nbytes:
+                    raise ValueError("a range's array ended early")
             at += rows
     except (ValueError, TypeError, csv.Error, OSError):
         data = None   # TypeError: a newline or quote delimiter
     finally:
-        for pid, fd in children:
-            os.close(fd)
+        for pid, pipe in children:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if data is None or not all(np.isfinite(data[i:i + BLOCK]).all()
-                               for i in range(0, len(data), BLOCK)):
+    if data is None:
         return _ingest_rows(spec, fh.name)
     return _dataset(names, columns, data, sum(h[3] for h in heads),
                     len(heads))

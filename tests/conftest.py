@@ -2,8 +2,9 @@
 
 Every property test runs under one fixed profile: derandomized, with no
 deadline and no example database, so a run is the same on every machine
-and leaves no `.hypothesis/` state behind.  Each test sets only its
-`max_examples`.
+and stores no examples.  Hypothesis (6.155.2) still writes a
+`.hypothesis/constants/` cache, which `.gitignore` lists.  Each test
+sets only its `max_examples`.
 
 Acceptance tests register one line per criterion through the
 `acceptance_report` fixture; the lines are echoed in the terminal

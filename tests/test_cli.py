@@ -428,11 +428,15 @@ class TestSplitParse:
         # column-major, for the column passes of scaling and seeding
         assert ds.x.flags.f_contiguous and ref.x.flags.f_contiguous
 
-    @pytest.mark.parametrize("row", [1, -2], ids=["first-range",
-                                                   "last-range"])
-    def test_bad_cell_names_location(self, csv_file, row_parses, row):
+    @pytest.mark.parametrize("row, cell", [
+        (1, "oops"), (-2, "oops"), (1, "nan"), (-2, "nan"), (1, "1e999"),
+        (-2, "1e999"),
+    ], ids=["first-range", "last-range", "first-range-nan",
+            "last-range-nan", "first-range-1e999", "last-range-1e999"])
+    def test_bad_cell_names_location(self, csv_file, row_parses, row, cell):
+        # a non-finite cell is found by each range's own check
         lines = csv_file.read_text().splitlines(keepends=True)
-        lines[row] = "0.1,0.2,oops,0.3\n"
+        lines[row] = f"0.1,0.2,{cell},0.3\n"
         csv_file.write_text("".join(lines))
         spec = IngestSpec(str(csv_file), response="resp")
         with split_ranges():
@@ -446,9 +450,32 @@ class TestSplitParse:
         with pytest.raises(IngestError) as ref:
             _ingest_rows(spec)
         line = row % len(lines) + 1
+        kind = "non-numeric" if cell == "oops" else "non-finite"
         assert str(got.value) == str(ref.value) == \
-            f"{csv_file}:{line}: non-numeric value 'oops' in column 'c'"
+            f"{csv_file}:{line}: {kind} value {cell!r} in column 'c'"
         assert len(row_parses) == 1
+
+    @pytest.mark.parametrize("blank_first", [False, True],
+                             ids=["later-ranges", "first-range"])
+    def test_ranges_of_blank_lines_only(self, tmp_path, row_parses,
+                                        blank_first):
+        # the later ranges, or the first, hold only blank lines: they
+        # parse to zero rows; the quoted id column is left unused
+        path = tmp_path / "blank.csv"
+        rows = "".join(f'"r{i}",{i}.5,{i * i}.25,{-i}.75\n'
+                       for i in range(6))
+        blank = "\n" * 300
+        path.write_text("id,a,b,y\n" + (blank + rows if blank_first
+                                        else rows + blank))
+        spec = IngestSpec(str(path), response="y", covariates=["a", "b"])
+        with split_ranges():
+            ds = ingest(spec)
+        _no_child_left()
+        ref = _ingest_rows(spec)
+        assert (ds.chunks, row_parses) == (4, [])
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.n_rejected == ref.n_rejected == 300
 
     def test_pipe_is_read_once(self, csv_file, row_parses, temp_dir):
         # a pipe has no byte offsets, and a second read finds it drained:
@@ -628,6 +655,20 @@ class TestSelectCommand:
                       + args)
         assert rc == cli.EXIT_INGEST
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--covariates", "covariate"), ("--log-columns", "log-transform"),
+    ])
+    def test_empty_column_list_is_config_error(self, csv_file, tmp_path,
+                                               capsys, flag, what):
+        # an empty list names the column '', not every column or none
+        rc = cli.main(["select", "--input", str(csv_file), "--response",
+                       "resp", "--method", "oss", "--k", "5", flag, "",
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err == \
+            f"error: {what} column '' not found; available: " \
+            f"['a', 'b', 'c', 'resp']\n"
 
     @pytest.mark.parametrize("seed_method", ["oss", "iboss"])
     def test_overflowing_range_is_input_error(self, tmp_path, capsys,
