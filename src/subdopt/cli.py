@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import inspect
 import json
 import sys
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, seeding, simulate
-from .ingest import IngestError, IngestSpec, _resolve, ingest
+from .ingest import IngestError, IngestSpec, _resolve, ingest, sha256
 from .linalg import SingularMomentError
 from .simulate import ConfigError, ExperimentConfig
 
@@ -40,24 +39,6 @@ EXIT_NUMERIC = 4
 
 
 # ---------------------------------------------------------------- helpers
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _input_checksum(source):
-    """The sha256 of a command's input, given as (path, the checksum
-    `ingest` took, or None), or None if it has no input: a pipe is hashed
-    as `ingest` reads it, since it cannot be read again."""
-    if source is None:
-        return None
-    path, checksum = source
-    return checksum or _sha256(path)
-
 
 def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -89,12 +70,9 @@ def _record_row(r):
     row = {"method": r.method, "repetition": r.repetition, "seed": r.seed,
            "k": r.k, "K": r.K, "iterations": r.iterations,
            "outliers_selected": r.outliers_selected, "error": r.error}
-    if r.mse is not None:
-        row.update(mse_intercept=r.mse.mse_intercept,
-                   mse_slopes=r.mse.mse_slopes)
-    if r.eff is not None:
-        row.update(gen_variance=r.eff.gen_variance, d_eff=r.eff.d_eff,
-                   a_eff=r.eff.a_eff, log_det_q=r.eff.log_det_q)
+    for part in (r.mse, r.eff):
+        if part is not None:
+            row.update(dataclasses.asdict(part))
     return row
 
 
@@ -136,15 +114,10 @@ def _cmd_select(args, config, outdir):
     start = time.perf_counter()
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     timings["scale_s"] = time.perf_counter() - start
-    cache = {}
-    sel, trace, seconds = simulate.select(
+    sel, trace, stages = simulate.select(
         x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
-        args.seed_method, cache)
-    for key, (_, built) in cache.items():   # the seed, then the pool
-        timings["pool_s" if key == "pool" else "seed_s"] = built
-    if trace is not None:
-        timings["exchange_s"] = trace.pass_seconds[-1]
-    timings["select_seconds"] = seconds
+        args.seed_method)
+    timings.update(stages, select_seconds=sum(stages.values()))
     start = time.perf_counter()
     eff = metrics.efficiency(x_scaled, sel)
     timings["efficiency_s"] = time.perf_counter() - start
@@ -158,9 +131,7 @@ def _cmd_select(args, config, outdir):
         "k": args.k,
         "K": args.K,
         "rejected_rows": ds.n_rejected,
-        "efficiency": {"gen_variance": eff.gen_variance,
-                       "d_eff": eff.d_eff, "a_eff": eff.a_eff,
-                       "log_det_q": eff.log_det_q},
+        "efficiency": dataclasses.asdict(eff),
     }
     if trace is not None:
         report["exchange"] = {
@@ -173,8 +144,7 @@ def _cmd_select(args, config, outdir):
     print(f"selected {len(sel)} rows -> {outdir / 'indices.txt'}")
     print(f"d_eff={eff.d_eff:.4f} a_eff={eff.a_eff:.4f} "
           f"gen_variance={eff.gen_variance:.5g}")
-    return ([args.seed], (args.input, ds.checksum), timings,
-            ["indices.txt", "report.json"])
+    return [args.seed], ds.checksum, timings, ["indices.txt", "report.json"]
 
 
 # ------------------------------------------------- simulate, bootstrap, timing
@@ -266,8 +236,8 @@ def _cmd_bootstrap(args, config, outdir):
     if ds.y is None:
         raise ConfigError("bootstrap requires a response column")
     report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
-    return ([kw["rng_seed"] + b for b in range(kw["B"])],
-            (spec.path, ds.checksum), {}, _write_report(report, outdir))
+    return ([kw["rng_seed"] + b for b in range(kw["B"])], ds.checksum, {},
+            _write_report(report, outdir))
 
 
 def _cmd_timing(args, config, outdir):
@@ -360,15 +330,14 @@ def _cmd_hull(args, config, outdir):
         print(f"{r['columns'][0]} vs {r['columns'][1]}: "
               f"full area {r['full_area']:.5g}, "
               f"subdata area {r['subdata_area']:.5g}")
-    return [], (args.input, ds.checksum), {}, outputs
+    return [], ds.checksum, {}, outputs
 
 
 # ------------------------------------------------------- runner and replay
 
 # Each command takes (args, config JSON or None, outdir) and returns what
-# its manifest records: (rng seeds, input or None, timings, outputs), the
-# input as `_input_checksum` takes it.  The input is hashed once the
-# command has returned and its arrays are freed.
+# its manifest records: (rng seeds, input checksum or None, timings,
+# outputs).
 _COMMANDS = {"select": _cmd_select, "simulate": _cmd_simulate,
              "bootstrap": _cmd_bootstrap, "timing": _cmd_timing,
              "hull": _cmd_hull}
@@ -388,7 +357,7 @@ def _run(args, argv, config):
     `timings["total_seconds"]` covers the command and its outputs."""
     start = time.perf_counter()
     outdir = _outdir(args.out)
-    seeds, source, timings, outputs = \
+    seeds, checksum, timings, outputs = \
         _COMMANDS[args.command](args, config, outdir)
     timings["total_seconds"] = time.perf_counter() - start
     _write_json(outdir / "manifest.json", {
@@ -398,9 +367,9 @@ def _run(args, argv, config):
         "argv": argv,
         "config": config,
         "rng_seeds": seeds,
-        "input_checksum": _input_checksum(source),
+        "input_checksum": checksum,
         "timings": timings,
-        "outputs": {name: _sha256(outdir / name) for name in outputs},
+        "outputs": {name: sha256(outdir / name) for name in outputs},
     })
     return EXIT_OK
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import os
+import shutil
 import signal
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,7 +39,7 @@ class Dataset:
     response_column: str | None
     n_rejected: int
     chunks: int       # byte ranges parsed; 0 when the row parser read
-    #: sha256 of a pipe input, hashed as it was read; None for a file
+    #: sha256 of the bytes parsed: the file, or the copy of a pipe
     checksum: str | None = None
 
 
@@ -139,6 +142,18 @@ def _skip(cell):
 
 #: Fewest bytes of the numeric block per range that `ingest` parses
 CHUNK = 1 << 20
+
+
+def sha256(path):
+    """The hex sha256 of the file at `path`, read into one 64 KiB buffer.
+    `ingest` hashes while its arrays are alive: a 1 MiB buffer, once
+    freed, stayed in the heap and added 0.8 MB to `select`'s peak RSS."""
+    digest = hashlib.sha256()
+    buf = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while got := fh.readinto(buf):
+            digest.update(buf[:got])
+    return digest.hexdigest()
 
 
 class _Range(io.RawIOBase):
@@ -310,31 +325,26 @@ def ingest(spec):
     read the file.
 
     An input that cannot seek (a pipe, or a `<(...)` process
-    substitution) is read once: it is copied to a temporary file CHUNK
-    bytes at a time, hashed as it is copied (`Dataset.checksum`), read
+    substitution) is read once: it is copied to a temporary file, read
     from that copy as above, and the copy is removed before this
     returns.  Errors still name spec.path.
+
+    `Dataset.checksum` is the sha256 of the bytes parsed, the file's or
+    the copy's, taken once the parse has succeeded.
     """
     with _open(spec) as fh:
         if fh.seekable():
             return _ingest(spec, fh)
-        import hashlib
-        import tempfile
-        digest = hashlib.sha256()
         # closing the copy removes it, on an error too
         with tempfile.NamedTemporaryFile(suffix=".csv") as copy:
             try:
-                for block in iter(lambda: fh.buffer.read(CHUNK), b""):
-                    digest.update(block)
-                    copy.write(block)
+                shutil.copyfileobj(fh.buffer, copy, CHUNK)
                 copy.flush()
             except OSError as exc:   # a full disk, say
                 raise IngestError(f"cannot copy {spec.path}: {exc}") \
                     from exc
             with _open(spec, copy.name) as text:
-                ds = _ingest(spec, text)
-    ds.checksum = digest.hexdigest()
-    return ds
+                return _ingest(spec, text)
 
 
 def _ingest(spec, fh):
@@ -401,9 +411,12 @@ def _ingest(spec, fh):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if data is None:
-        return _ingest_rows(spec, fh.name)
-    return _dataset(names, columns, data, sum(h[3] for h in heads),
-                    len(heads))
+        ds = _ingest_rows(spec, fh.name)
+    else:
+        ds = _dataset(names, columns, data, sum(h[3] for h in heads),
+                      len(heads))
+    ds.checksum = sha256(fh.name)
+    return ds
 
 
 def _ingest_rows(spec, path=None):

@@ -238,12 +238,15 @@ def _cached(cache, key, build):
 
 def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
            seed_method="oss", cache=None):
-    """One selection; returns (Selection, ExchangeTrace or None, seconds).
+    """One selection; returns (Selection, ExchangeTrace or None, stages).
 
     alg1/valg1 exchange against the candidate pool of a `seed_method`
-    seed; the seed and pool times are included, matching how the
-    exchange is deployed.  `cache`, a dict kept for one dataset and one
-    (k, K, rng_seed), builds each seed and the pool once across calls.
+    seed.  `stages` holds the seconds of each stage: `seed_s`, and for
+    an exchange `pool_s` and `exchange_s`; their sum is the selection's
+    time, matching how the exchange is deployed.  `cache`, a dict kept
+    for one dataset and one (k, K, rng_seed), builds each seed and the
+    pool once across calls; a cached stage counts the seconds it took to
+    build.
     """
     n = x_scaled.shape[0]
     exchanging = method in ("alg1", "valg1")
@@ -260,18 +263,19 @@ def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
                           f"pool")
     cache = {} if cache is None else cache
     name = seed_method if exchanging else method
-    seed, seconds = _cached(cache, name,
-                            lambda: _seed(x_scaled, name, k, rng_seed))
+    seed, seed_s = _cached(cache, name,
+                           lambda: _seed(x_scaled, name, k, rng_seed))
     if not exchanging:
-        return seed, None, seconds
-    pool, pool_seconds = _cached(
+        return seed, None, {"seed_s": seed_s}
+    pool, pool_s = _cached(
         cache, "pool", lambda: exchange.candidate_pool(x_scaled, seed, K))
     t0 = time.perf_counter()
     if method == "alg1":
         sel, trace = exchange.alg1(x_scaled, seed, K, iterations, pool=pool)
     else:
         sel, trace = exchange.valg1(x_scaled, seed, K, pool=pool)
-    return sel, trace, seconds + pool_seconds + time.perf_counter() - t0
+    return sel, trace, {"seed_s": seed_s, "pool_s": pool_s,
+                        "exchange_s": time.perf_counter() - t0}
 
 
 def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
@@ -289,9 +293,9 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
     y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
         try:
-            sel, _, seconds = select(x_scaled, method, cfg.k, cfg.K,
-                                     cfg.alg1_iterations, rep_seed,
-                                     cfg.seed_method, cache)
+            sel, _, stages = select(x_scaled, method, cfg.k, cfg.K,
+                                    cfg.alg1_iterations, rep_seed,
+                                    cfg.seed_method, cache)
             _, slopes = ols_fit(x, y, sel)
             b0 = adjusted_intercept(y_bar, x_bar, slopes)
             msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
@@ -305,7 +309,7 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
             n_out = int(np.count_nonzero(
                 sel.indices >= cfg.n - cfg.outliers.count))
         records.append(RunRecord(
-            method, *head, msr, eff, seconds,
+            method, *head, msr, eff, sum(stages.values()),
             sel.indices.copy() if keep_selections else None, n_out))
     return records
 

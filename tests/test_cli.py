@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import inspect
 import io
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdopt import cli, simulate
+from subdopt import cli, seeding, simulate
 from subdopt import ingest as ingest_module
 from subdopt.ingest import IngestError, IngestSpec, _ingest_rows, ingest
+from subdopt.linalg import SingularMomentError
 
 
 def write_csv(path):
@@ -268,6 +270,15 @@ class TestIngestPaths:
         assert capsys.readouterr().err == \
             f"error: {path}: all rows rejected or file empty\n"
 
+    def test_empty_file_with_header_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"")
+        rc = cli.main(["select", "--input", str(path), "--method", "oss",
+                       "--k", "1", "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err == \
+            f"error: {path}: no header row found\n"
+
     def test_skip_rows_with_header(self, tmp_path, row_parses):
         path = tmp_path / "s.csv"
         path.write_text('exported by "tool", v2\n# a;b;c\nu,v,w\n'
@@ -307,7 +318,8 @@ def ingest_file(draw):
     out; their quoted cells may hold the delimiter, a line ending or a
     blank line.  After a cell with a stray quote (`a"b`), a quoted cell
     that holds a blank line can leave an even number of quotes on each
-    line."""
+    line.  A run of blank lines ahead of the rows may be long enough to
+    fill the first of `split_ranges()`'s byte ranges."""
     delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|", "\n"]))
     ending = draw(LINE_ENDINGS)
     text_cell = st.one_of(TEXT_CELLS, st.sampled_from(
@@ -326,6 +338,7 @@ def ingest_file(draw):
              for _ in range(skip_rows)]
     if header:
         lines.append(delimiter.join(f"h{j}" for j in range(total)))
+    lines += [""] * draw(st.sampled_from([0, 0, 0, 300]))
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(
             ["row", "row", "row", "blank", "space", "ragged"]
@@ -494,9 +507,8 @@ class TestSplitParse:
             (4, [], [])
         assert ds.x.tobytes() == ref.x.tobytes()
         assert ds.y.tobytes() == ref.y.tobytes()
-        assert ds.checksum == hashlib.sha256(csv_file.read_bytes()) \
-            .hexdigest()
-        assert ref.checksum is None
+        assert ds.checksum == ref.checksum == \
+            hashlib.sha256(csv_file.read_bytes()).hexdigest()
 
     def test_quoted_field_across_ranges_falls_back(self, tmp_path,
                                                    row_parses):
@@ -642,10 +654,12 @@ class TestSelectCommand:
         ["--method", "uniform", "--k", "5", "--seed", "-1"],
         ["--method", "alg1", "--k", "5", "--seed-method", "uniform",
          "--seed", "-3"],
+        ["--method", "oss", "--k", "5", "--log-columns", "b"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
             "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
             "delimiter-empty", "out-is-a-file", "covariate-repeated",
-            "skip-rows-negative", "seed-negative", "uniform-seed-negative"])
+            "skip-rows-negative", "seed-negative", "uniform-seed-negative",
+            "log-of-negative"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
         # also bad delimiters and an --out that names an existing file
@@ -693,6 +707,22 @@ class TestSelectCommand:
         rc = cli.main(["select", "--input", str(csv_file), "--method", "alg1",
                        "--k", "8", "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_INGEST
+
+    @pytest.mark.parametrize("method", ["uniform", "alg1"])
+    def test_singular_selection_is_numerical_error(self, tmp_path, capsys,
+                                                   method):
+        # covariate b repeats a: every selection's moments are singular
+        rng = np.random.default_rng(4)
+        a, y = rng.standard_normal((2, 60))
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,y\n" + "".join(
+            f"{u:.8f},{u:.8f},{v:.8f}\n" for u, v in zip(a, y)))
+        rc = cli.main(["select", "--input", str(path), "--response", "y",
+                       "--method", method, "--k", "10",
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == \
+            "numerical error: 3x3 moment matrix is singular\n"
 
     def test_replay_identical(self, csv_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -756,6 +786,34 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", str(cfg),
                        "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("module, name, exc", [
+        (simulate, "ols_fit",
+         SingularMomentError("selection is singular or its moments "
+                             "overflow")),
+        (seeding, "scale_to_unit_cube",
+         seeding.ColumnRangeError("column(s) whose range overflows: [0]")),
+    ], ids=["fit-fails", "range-overflows"])
+    def test_every_repetition_failing(self, tmp_path, capsys, monkeypatch,
+                                      module, name, exc):
+        # a failed repetition is a record with its error, not an exit
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--config", str(self.config(tmp_path)),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert [r["error"] for r in report["records"]] == [str(exc)] * 4
+        with open(out / "report.csv", newline="") as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == \
+                [str(exc)] * 4
+        assert report["aggregates"] == {"uniform": {"failed": True},
+                                        "valg1": {"failed": True}}
+        assert capsys.readouterr().out.splitlines()[1:] == \
+            ["uniform  (all repetitions failed)",
+             "valg1    (all repetitions failed)"]
 
     def test_replay_identical(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -875,6 +933,8 @@ def run_config(command, cfg, workdir):
     ("bootstrap", {"input": {"path": "data.csv", "response": "resp",
                              "covariates": ["a", "a"]}},
      "covariate column 'a' is listed more than once"),
+    ("bootstrap", {"B": 0}, "B must be >= 1"),
+    ("simulate", {"sigma2": -1}, "sigma2 must be >= 0"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -885,7 +945,8 @@ def run_config(command, cfg, workdir):
         "bootstrap-B-string", "bootstrap-skip-rows-string",
         "bootstrap-skip-rows-negative",
         "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
-        "bootstrap-covariates-string", "bootstrap-covariate-repeated"])
+        "bootstrap-covariates-string", "bootstrap-covariate-repeated",
+        "bootstrap-B0", "simulate-sigma2-negative"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},
