@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, metrics, seeding, simulate
 from .ingest import IngestError, IngestSpec, _resolve, ingest, sha256
-from .linalg import SingularMomentError
+from .metrics import SingularMomentError
 from .simulate import ConfigError, ExperimentConfig
 
 EXIT_OK = 0

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMomentError, as_indices, augment, factor_moment
+from .metrics import SingularMomentError, as_indices, augment, factor_moment
 from .seeding import Selection, _block_extremes, _extremes
 
 #: Relative strict-improvement threshold on the determinant ratio,
@@ -101,10 +101,11 @@ def _scan_state(ZS, ZF):
     M = Q^{-1}, and the quadratic forms c_j = z_j^T M z_j of the pool
     rows `ZF`.
     """
-    state = factor_moment(ZS.T @ ZS)
-    M = np.linalg.inv(state.q)
+    q = ZS.T @ ZS
+    _, log_det = factor_moment(q)
+    M = np.linalg.inv(q)
     c = np.einsum("ij,ij->i", ZF @ M, ZF)
-    return state.log_det - state.dim * math.log(ZS.shape[0]), M, c
+    return log_det - q.shape[0] * math.log(ZS.shape[0]), M, c
 
 
 def swap_scores(M, c, ZF, z_out):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import os
 import shutil
 import signal
@@ -98,6 +97,8 @@ def _columns(spec, names):
                                   f"listed more than once")
     else:
         cov_idx = [j for j in range(len(names)) if j != resp_idx]
+    if not cov_idx:
+        raise IngestError(f"no covariate column; available: {names}")
     if resp_idx is not None and resp_idx in cov_idx:
         raise IngestError("response column also listed as a covariate")
     log_idx = {_resolve(c, names, "log-transform") for c in spec.log_columns}
@@ -156,28 +157,6 @@ def sha256(path):
     return digest.hexdigest()
 
 
-class _Range(io.RawIOBase):
-    """Bytes [first, stop) of a file, through a handle of its own."""
-
-    def __init__(self, path, first, stop):
-        super().__init__()
-        self.file = open(path, "rb", buffering=0)
-        self.file.seek(first)
-        self.left = stop - first
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        got = self.file.readinto(memoryview(buf)[:self.left])
-        self.left -= got
-        return got
-
-    def close(self):
-        self.file.close()
-        super().close()
-
-
 def _ranges(fh, first):
     """Cut the bytes of the open file from offset `first` to its end into
     W ranges, each but the last ending just after a newline: a list of
@@ -208,16 +187,22 @@ def _parse_range(path, encoding, delimiter, converters, first, stop):
     """Parse the lines in bytes [first, stop) of the file with one
     `np.loadtxt` call: (array, head), the head being the array's shape,
     the number of data lines, the number of blank lines and whether the
-    last data line ends inside a quoted field.  A line longer than
-    `csv.field_size_limit()` or with an odd number of quotes, or a
-    non-finite value, raises ValueError."""
+    last data line ends inside a quoted field.  Lines end only at LF,
+    and each is decoded strictly.  A byte the encoding rejects, a line
+    longer than `csv.field_size_limit()` or with an odd number of quotes,
+    or a non-finite value, raises ValueError."""
     blank = lines = 0
     last = ""
     limit = csv.field_size_limit()
 
-    def data_lines(text):
+    def data_lines(raw):
         nonlocal blank, lines, last
-        for line in text:
+        left = stop - first
+        for line in raw:
+            if left <= 0:
+                return
+            left -= len(line)
+            line = line.decode(encoding)
             if not line.strip():
                 blank += 1
             elif len(line) > limit or ('"' in line and line.count('"') % 2):
@@ -227,12 +212,11 @@ def _parse_range(path, encoding, delimiter, converters, first, stop):
                 last = line
                 yield line
 
-    with io.TextIOWrapper(io.BufferedReader(_Range(path, first, stop)),
-                          encoding=encoding, newline="") as text, \
-            warnings.catch_warnings():
+    with open(path, "rb") as raw, warnings.catch_warnings():
+        raw.seek(first)
         # a range without data rows warns
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(data_lines(text), converters=converters,
+        data = np.loadtxt(data_lines(raw), converters=converters,
                           quotechar='"', delimiter=delimiter,
                           comments=None, ndmin=2, dtype=float)
     # min and max carry a NaN and reach an inf
@@ -316,7 +300,10 @@ def ingest(spec):
     also does if a range but the last ends inside a quoted field, which
     `csv` would carry into the next range, or if the last range holds a
     blank line and ends inside a quoted field, into which `csv` could
-    read the blank line.  Where both succeed they give the same arrays;
+    read the blank line.  A range splits lines only at LF, so a file
+    whose lines end in a bare CR goes to the row parser too:
+    `np.loadtxt` rejects an unquoted CR inside a line, while a quoted
+    one stays in its field.  Where both succeed they give the same arrays;
     the row parser also reads cells only `float()` reads (`1_0`,
     non-ASCII digits), and otherwise raises the error naming the
     offending line and column.  A column that does not resolve is

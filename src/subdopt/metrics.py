@@ -1,4 +1,9 @@
-"""Evaluation criteria for a selected subdata set.
+"""Moment matrices and evaluation criteria for a selected subdata set.
+
+The moment matrix Q = sum_i z_i z_i^T of the selected rows, with
+z_i = (1, x_i^T)^T, is factored once per selection (`factor_moment`
+rejects a singular Q); log det Q and trace(Q^{-1}) are read off that
+Cholesky factor.
 
 Efficiencies are normalized so that a two-level orthogonal array with
 entries in {-1, +1} scores exactly 1 on both; for data scaled to [-1, 1]
@@ -12,9 +17,44 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .linalg import (as_indices, build_moment, covariance_summary,
-                     trace_inverse)
+
+class SingularMomentError(Exception):
+    """The selected rows do not span: Cholesky factorization failed."""
+
+
+def as_indices(sel):
+    """Accept a Selection object or a plain index array."""
+    return np.asarray(getattr(sel, "indices", sel), dtype=np.intp)
+
+
+def augment(x):
+    """Prepend the intercept column of ones: rows x_i -> z_i = (1, x_i)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
+def factor_moment(q):
+    """Cholesky-factor a moment matrix Q: (lower factor, log det Q).
+
+    The singularity rule of the selection and its metrics (OLS keeps
+    scipy's, see `simulate.ols_fit`): raises SingularMomentError when
+    the factorization fails or leaves a pivot at rounding-noise scale.
+    """
+    d = q.shape[0]
+    try:
+        chol = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMomentError(f"{d}x{d} moment matrix is singular") \
+            from exc
+    # LAPACK can hand back a rounding-noise pivot for an exactly singular
+    # matrix; reject pivots below the scale of accumulated rounding.
+    dg = chol.diagonal()
+    if (dg * dg).min() <= d * np.finfo(float).eps * q.diagonal().max():
+        raise SingularMomentError(
+            f"{d}x{d} moment matrix is numerically singular")
+    return chol, 2.0 * float(np.log(dg).sum())
 
 
 @dataclass
@@ -35,13 +75,23 @@ def efficiency(x, sel):
     """Generalized variance, D-efficiency and A-efficiency of a selection."""
     idx = as_indices(sel)
     k = idx.size
-    state = build_moment(x, idx)
-    p1 = state.dim
-    d_eff = math.exp(state.log_det / p1) / k
-    a_eff = p1 / (k * trace_inverse(state))
-    sign, logdet_cov = np.linalg.slogdet(covariance_summary(x, idx).cov)
+    if k < 1:
+        raise ValueError("selection must contain at least one row")
+    if np.unique(idx).size != k:
+        raise ValueError("selection indices must be distinct")
+    xs = np.asarray(x, dtype=float)[idx]
+    z = augment(xs)
+    chol, log_det = factor_moment(z.T @ z)
+    p1 = chol.shape[0]
+    d_eff = math.exp(log_det / p1) / k
+    # trace(Q^{-1}) via a triangular solve; equals the eigenvalue sum
+    w = solve_triangular(chol, np.eye(p1), lower=True)
+    a_eff = p1 / (k * float(np.sum(w * w)))
+    xc = xs - xs.mean(axis=0)
+    # the covariance of the selected rows, divisor k
+    sign, logdet_cov = np.linalg.slogdet((xc.T @ xc) / k)
     gen_var = float(sign * math.exp(logdet_cov))
-    return EfficiencyReport(gen_var, d_eff, a_eff, state.log_det)
+    return EfficiencyReport(gen_var, d_eff, a_eff, log_det)
 
 
 def mse(beta_hat, beta_true):

@@ -9,15 +9,40 @@ sets only its `max_examples`.
 Acceptance tests register one line per criterion through the
 `acceptance_report` fixture; the lines are echoed in the terminal
 summary so pass/fail status is visible without -s.
+
+`gen_var` and `log_v` are the reference values the exchange tests and
+the acceptance criteria compare against, rebuilt from the selected rows.
 """
 
+import math
+
+import numpy as np
 from hypothesis import settings
+
+from subdopt import metrics
 
 settings.register_profile("fixed", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("fixed")
 
 _LINES = []
+
+
+def gen_var(x, idx):
+    """det of the covariance (divisor k) of the selected rows of x."""
+    idx = metrics.as_indices(idx)
+    xs = np.asarray(x, dtype=float)[idx]
+    xc = xs - xs.mean(axis=0)
+    return float(np.linalg.det((xc.T @ xc) / idx.size))
+
+
+def log_v(x, sel):
+    """log V of a selection rebuilt from scratch: log det Q minus
+    (p+1) log k.  Raises ValueError on a repeated row and
+    SingularMomentError on a singular Q."""
+    idx = metrics.as_indices(sel)
+    log_det = metrics.efficiency(x, idx).log_det_q
+    return log_det - (np.shape(x)[1] + 1) * math.log(idx.size)
 
 
 def record_criterion(number, passed, detail):

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import record_criterion
-from subdopt import cli, exchange, linalg, metrics, seeding, simulate
+from conftest import gen_var, record_criterion
+from subdopt import cli, exchange, metrics, seeding, simulate
 
 pytestmark = pytest.mark.acceptance
 
@@ -25,10 +25,6 @@ def column(report, method, get):
 
 def mse_slopes(report, method):
     return column(report, method, lambda r: r.mse.mse_slopes)
-
-
-def gen_var(x, idx):
-    return float(np.linalg.det(linalg.covariance_summary(x, idx).cov))
 
 
 def one_sided_less(a, b):
@@ -99,7 +95,7 @@ def conditional_slope_mse(report):
             continue
         if r.seed != x_seed:
             x, x_seed = design(cfg, r.seed), r.seed
-        z = linalg.augment(x[r.selection])
+        z = metrics.augment(x[r.selection])
         cov = np.linalg.inv(z.T @ z)
         out.setdefault(r.method, []).append(
             cfg.sigma2 * np.trace(cov[1:, 1:]))
@@ -221,24 +217,24 @@ def test_criterion_6_kernel_equivalence():
         n = k + int(rng.integers(2, 10))
         x = rng.standard_normal((n, p))
         idx = rng.choice(n, size=k, replace=False)
-        state = linalg.build_moment(x, idx)
+        log_det = metrics.efficiency(x, idx).log_det_q
 
         slot = int(rng.integers(k))
         inbound = int(rng.choice(np.setdiff1d(np.arange(n), idx)))
-        z = linalg.augment(x)
+        z = metrics.augment(x)
         # the exchange's own score: M and c refactored from the rows
         _, M, c = exchange._scan_state(z[idx], z[[inbound]])
         delta = math.log(
             exchange.swap_scores(M, c, z[[inbound]], z[idx[slot]])[0])
         new_idx = idx.copy()
         new_idx[slot] = inbound
-        rebuilt = linalg.build_moment(x, new_idx)
-        rel = abs(delta - (rebuilt.log_det - state.log_det)) / max(
-            abs(rebuilt.log_det - state.log_det), 1.0)
+        rebuilt = metrics.efficiency(x, new_idx).log_det_q
+        rel = abs(delta - (rebuilt - log_det)) / max(
+            abs(rebuilt - log_det), 1.0)
         worst_swap = max(worst_swap, rel)
 
-        det_q = math.exp(state.log_det)
-        det_cov = np.linalg.det(linalg.covariance_summary(x, idx).cov)
+        det_q = math.exp(log_det)
+        det_cov = gen_var(x, idx)
         rel = abs(det_q - k ** (p + 1) * det_cov) / det_q
         worst_genvar = max(worst_genvar, rel)
     ok = worst_swap < 1e-8 and worst_genvar < 1e-8

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from subdopt import cli, seeding, simulate
 from subdopt import ingest as ingest_module
 from subdopt.ingest import IngestError, IngestSpec, _ingest_rows, ingest
-from subdopt.linalg import SingularMomentError
+from subdopt.metrics import SingularMomentError
 
 
 def write_csv(path):
@@ -243,6 +243,37 @@ class TestIngestPaths:
         assert row_parses == []
         assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.n_rejected == 3
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_bare_cr_line_endings_fall_back(self, csv_file, row_parses,
+                                            header):
+        # a range splits lines only at \n, and np.loadtxt rejects the
+        # unquoted \r inside the one line it then reads
+        text = csv_file.read_bytes()
+        if not header:
+            text = text.split(b"\n", 1)[1]
+        path = csv_file.parent / "cr.csv"
+        path.write_bytes(text.replace(b"\n", b"\r"))
+        spec = IngestSpec(str(path), header=header, response=3)
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert (len(row_parses), ds.chunks) == (1, 0)
+        plain = ingest(IngestSpec(str(csv_file), response="resp"))
+        assert ds.x.tobytes() == ref.x.tobytes() == plain.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes() == plain.y.tobytes()
+
+    def test_quoted_cr_in_unused_column_takes_fast_path(self, csv_file,
+                                                        row_parses):
+        lines = csv_file.read_text().splitlines()
+        path = csv_file.parent / "qcr.csv"
+        path.write_bytes("\n".join([f"id,{lines[0]}"] + [
+            f'"x\ry",{line}' for line in lines[1:]]).encode() + b"\n")
+        spec = IngestSpec(str(path), response="resp",
+                          covariates=["a", "b", "c"])
+        ds, ref = ingest(spec), _ingest_rows(spec)
+        assert (row_parses, ds.chunks) == ([], 1)
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.n_rejected == ref.n_rejected == 0
 
     def test_cells_only_float_reads_fall_back(self, tmp_path, row_parses):
         path = tmp_path / "f.csv"
@@ -510,6 +541,28 @@ class TestSplitParse:
         assert ds.checksum == ref.checksum == \
             hashlib.sha256(csv_file.read_bytes()).hexdigest()
 
+    def test_short_array_from_a_child_falls_back(self, csv_file,
+                                                 row_parses, monkeypatch):
+        # each child's head promises one row more than its array holds,
+        # so the parent's read of its last column ends early
+        parent, parse = os.getpid(), ingest_module._parse_range
+
+        def over_promise(*args):
+            data, (rows, width, lines, *rest) = parse(*args)
+            if os.getpid() != parent:
+                rows, lines = rows + 1, lines + 1
+            return data, (rows, width, lines, *rest)
+
+        monkeypatch.setattr(ingest_module, "_parse_range", over_promise)
+        spec = IngestSpec(str(csv_file), response="resp")
+        with split_ranges():
+            ds = ingest(spec)
+        _no_child_left()
+        ref = _ingest_rows(spec)
+        assert (len(row_parses), ds.chunks) == (1, 0)
+        assert ds.x.tobytes() == ref.x.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+
     def test_quoted_field_across_ranges_falls_back(self, tmp_path,
                                                    row_parses):
         # line 3 opens a quoted field that csv carries into line 4, the
@@ -683,6 +736,22 @@ class TestSelectCommand:
         assert capsys.readouterr().err == \
             f"error: {what} column '' not found; available: " \
             f"['a', 'b', 'c', 'resp']\n"
+
+    @pytest.mark.parametrize("command, args", [
+        ("select", ["--method", "uniform", "--k", "1"]),
+        ("hull", ["--selection", "y.csv", "--pairs", "a,b"]),
+    ], ids=["select", "hull"])
+    def test_no_covariate_column_is_input_error(self, tmp_path, capsys,
+                                                command, args):
+        # the file's only column is the response
+        path = tmp_path / "y.csv"
+        path.write_text("y\n1\n2\n3\n")
+        args = [str(path) if a == "y.csv" else a for a in args]
+        rc = cli.main([command, "--input", str(path), "--response", "y",
+                       "--out", str(tmp_path / "o")] + args)
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err == \
+            "error: no covariate column; available: ['y']\n"
 
     @pytest.mark.parametrize("seed_method", ["oss", "iboss"])
     def test_overflowing_range_is_input_error(self, tmp_path, capsys,
@@ -934,6 +1003,8 @@ def run_config(command, cfg, workdir):
                              "covariates": ["a", "a"]}},
      "covariate column 'a' is listed more than once"),
     ("bootstrap", {"B": 0}, "B must be >= 1"),
+    ("bootstrap", {"input": {"path": "data.csv", "response": "resp",
+                             "covariates": []}}, "no covariate column"),
     ("simulate", {"sigma2": -1}, "sigma2 must be >= 0"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
@@ -946,7 +1017,8 @@ def run_config(command, cfg, workdir):
         "bootstrap-skip-rows-negative",
         "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
         "bootstrap-covariates-string", "bootstrap-covariate-repeated",
-        "bootstrap-B0", "simulate-sigma2-negative"])
+        "bootstrap-B0", "bootstrap-no-covariates",
+        "simulate-sigma2-negative"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},
@@ -1158,9 +1230,11 @@ class TestHullCommand:
         ("", ["--pairs", "a,b"]),
         ("0 1\n2 3\n4 5\n", ["--pairs", "a,b"]),
         ("0\n1\n2\n", ["--pairs", "a,b", "--delimiter", ";;"]),
+        ("0\n1\n2\n", ["--pairs", "a"]),
+        ("0\n1\n2\n", ["--pairs", "a,a"]),
     ], ids=["unknown-column", "selection-missing", "selection-not-integers",
             "selection-empty", "selection-two-columns",
-            "delimiter-two-chars"])
+            "delimiter-two-chars", "pair-one-column", "pair-repeated"])
     @pytest.mark.filterwarnings("error")
     def test_bad_pair(self, csv_file, tmp_path, capsys, selection, extra):
         # also a missing, malformed or empty selection file and a bad

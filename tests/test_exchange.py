@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdopt import exchange, linalg, metrics, seeding, simulate
-
-
-def gen_var(x, idx):
-    return float(np.linalg.det(
-        linalg.covariance_summary(x, idx).cov))
+from conftest import gen_var, log_v
+from subdopt import exchange, metrics, seeding, simulate
 
 
 class TestCandidatePool:
@@ -69,12 +65,12 @@ def scores(zs, zf, z_out):
 class TestSwapScores:
     def test_identity_swap_scores_one(self):
         rng = np.random.default_rng(2)
-        z = linalg.augment(rng.standard_normal((8, 3)))
+        z = metrics.augment(rng.standard_normal((8, 3)))
         assert scores(z, z[[0]], z[0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two_oracle(self):
         # S = {-1, +1}; swap out (1, +1) for (1, +2).
-        z = linalg.augment(np.array([[-1.0], [1.0]]))
+        z = metrics.augment(np.array([[-1.0], [1.0]]))
         score = scores(z, np.array([[1.0, 2.0]]), np.array([1.0, 1.0]))
         assert score[0] == pytest.approx(9.0 / 4.0, rel=1e-12)
 
@@ -85,20 +81,20 @@ class TestSwapScores:
             k = int(rng.integers(p + 2, 21))
             x = rng.standard_normal((k + 5, p))
             sel = np.arange(k)
-            z = linalg.augment(x)
+            z = metrics.augment(x)
             out = int(rng.integers(0, k))
             inn = k + int(rng.integers(0, 5))
             delta = math.log(scores(z[sel], z[[inn]], z[out])[0])
             new_sel = sel.copy()
             new_sel[out] = inn
-            expected = linalg.build_moment(x, new_sel).log_det - \
-                linalg.build_moment(x, sel).log_det
+            expected = metrics.efficiency(x, new_sel).log_det_q - \
+                metrics.efficiency(x, sel).log_det_q
             assert delta == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     def test_singular_swap_is_never_accepted(self):
         # Removing one of the two rows leaves rank 1; adding the zero
         # vector cannot restore it, so the swap must not clear the bar.
-        z = linalg.augment(np.array([[1.0], [2.0]]))
+        z = metrics.augment(np.array([[1.0], [2.0]]))
         score = scores(z, np.zeros((1, 2)), np.array([1.0, 2.0]))
         assert score[0] <= 1.0 + exchange.REL_IMPROVEMENT
 
@@ -155,8 +151,8 @@ class TestAlg1:
         def flaky(q):
             calls.append(q)
             if len(calls) == 2:   # the rebuild after slot 0's swap
-                raise linalg.SingularMomentError("injected")
-            return linalg.factor_moment(q)
+                raise metrics.SingularMomentError("injected")
+            return metrics.factor_moment(q)
 
         monkeypatch.setattr(exchange, "factor_moment", flaky)
         sel, trace = exchange.alg1(x, seed, 2, iterations=1)
@@ -167,8 +163,7 @@ class TestAlg1:
         assert trace.pass_log_v == [trace.final_log_v]
         # the undo restored the selected and pool rows: the reported log V
         # is the rebuilt selection's, bit for bit
-        state = linalg.build_moment(x, sel)
-        assert trace.final_log_v == state.log_det - state.dim * math.log(2)
+        assert trace.final_log_v == log_v(x, sel)
 
     @pytest.mark.parametrize("method", ["alg1", "valg1"])
     def test_commit_must_raise_rebuilt_log_v(self, method):
@@ -304,9 +299,9 @@ def run_exchange(x, seed, method):
         if method == "alg1":
             return exchange.alg1(x, sel, 4, iterations=3)
         return exchange.valg1(x, sel, 4)
-    except linalg.SingularMomentError:
-        with pytest.raises(linalg.SingularMomentError):
-            linalg.build_moment(x, seed)
+    except metrics.SingularMomentError:
+        with pytest.raises(metrics.SingularMomentError):
+            log_v(x, seed)
         return None
 
 
@@ -328,9 +323,8 @@ def test_final_log_v_is_rebuilt_selection(case):
     out = run_exchange(x, seed, method)
     if out is not None:
         sel, trace = out
-        state = linalg.build_moment(x, sel)   # also checks distinct rows
-        assert trace.final_log_v == \
-            state.log_det - state.dim * math.log(seed.size)
+        # log_v also checks distinct rows
+        assert trace.final_log_v == log_v(x, sel)
 
 
 class TestBoundedOptimality:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdopt import exchange, linalg, metrics, seeding, simulate
+from subdopt import exchange, metrics, seeding, simulate
 from subdopt.simulate import (ConfigError, ExperimentConfig, ModelParams,
                               OutlierSpec)
 
@@ -37,6 +37,19 @@ class TestOlsFit:
         ref = np.linalg.lstsq(z, y[sel], rcond=None)[0]
         np.testing.assert_allclose(beta, ref, atol=1e-8)
 
+    @pytest.mark.parametrize("x, cause", [
+        (np.column_stack([np.arange(4.0), np.full(4, 5.0)]),
+         np.linalg.LinAlgError),
+        (np.arange(8.0).reshape(4, 2) * 1e200, ValueError),
+    ], ids=["constant-covariate", "overflowing-moments"])
+    def test_singular_or_overflowing_moments_raise(self, x, cause):
+        # scipy's cho_factor fails on the singular moments, and rejects
+        # the moments that overflowed to inf
+        with np.errstate(over="ignore"), \
+                pytest.raises(metrics.SingularMomentError) as got:
+            simulate.ols_fit(x, np.ones(4), range(4))
+        assert isinstance(got.value.__cause__, cause)
+
 
 class TestConditionalSlopeMse:
     def test_realised_mean_matches_trace(self):
@@ -46,7 +59,7 @@ class TestConditionalSlopeMse:
         x = simulate.gen_mvn_equicorr(500, 3, 0.5, 0)
         sel = seeding.iboss_seed(seeding.scale_to_unit_cube(x)[0], 24)
         params = ModelParams(1.0, [1.0, -1.0, 0.5], 3.0)
-        z = linalg.augment(x[sel.indices])
+        z = metrics.augment(x[sel.indices])
         expected = params.sigma2 * np.trace(np.linalg.inv(z.T @ z)[1:, 1:])
         errs = np.empty(4000)
         for b in range(errs.size):
