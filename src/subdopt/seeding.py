@@ -13,8 +13,8 @@ import numpy as np
 
 
 class ColumnRangeError(Exception):
-    """A covariate column is constant or its range overflows; scaling to
-    [-1, 1] is undefined."""
+    """A covariate column is constant, holds a NaN or its range overflows;
+    scaling to [-1, 1] is undefined."""
 
 
 @dataclass
@@ -83,7 +83,8 @@ def scale_to_unit_cube(x):
     hi = np.concatenate((hi, tail)).max(axis=0)
     with np.errstate(over="ignore"):
         span = hi - lo
-    for bad, what in ((hi <= lo, "constant column(s)"),
+    for bad, what in ((np.isnan(lo) | np.isnan(hi), "column(s) with NaN"),
+                      (hi <= lo, "constant column(s)"),
                       (np.isinf(span), "column(s) whose range overflows")):
         if bad.any():
             raise ColumnRangeError(f"{what}: {np.flatnonzero(bad).tolist()}")
@@ -112,11 +113,16 @@ def scale_to_unit_cube(x):
     return scaled, (lo, hi)
 
 
+def _check_k(k, n):
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} exceeds n={n}" if k > n
+                         else f"k={k} is below 1")
+
+
 def uniform_seed(x, k, rng_seed):
     """k distinct indices drawn without replacement, reproducibly."""
     n = np.asarray(x).shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    _check_k(k, n)
     rng = np.random.default_rng(rng_seed)
     idx = rng.choice(n, size=k, replace=False)
     return Selection(idx)
@@ -127,15 +133,15 @@ def _smallest(vals, m):
     the boundary go to the lower position.
 
     One O(len) partition finds the m-th smallest value; nothing is sorted.
+    One boolean mask marks the values below it and the lowest-position
+    ties.  If the m-th smallest is NaN, nothing is returned.
     """
     if m >= vals.size:
         return np.arange(vals.size)
     thresh = np.partition(vals, m - 1)[m - 1]
-    cand = np.flatnonzero(vals <= thresh)
-    tied = vals[cand] == thresh
-    # keep everything below the threshold and the lowest-position ties
-    n_tied = m - (cand.size - np.count_nonzero(tied))
-    return cand[~tied | (np.cumsum(tied) <= n_tied)]
+    keep = vals < thresh
+    keep[np.flatnonzero(vals == thresh)[:m - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _extremes(x, j, m, taken, blocks, largest=False, ties_high=False):
@@ -188,8 +194,7 @@ def iboss_seed(x, k):
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    _check_k(k, n)
     base = k // (2 * p)
     rem = k - 2 * p * base
     counts = []
@@ -211,10 +216,10 @@ def iboss_seed(x, k):
 
 def _pack(compare, x, buf, out):
     """The signs compare(x, 0) of the rows of x, packed into `out`, a
-    zeroed (rows, ceil(p / 64)) uint64 array: bit i of a row in bit i % 64
-    of word i // 64.  `buf` is a scratch array of at least rows * p + 8
-    booleans, made by np.zeros: a byte other than 0 or 1 would carry into
-    the packed bits.
+    zeroed (rows, ceil(p / 64)) array of unsigned words of at least
+    min(p, 64) bits: bit i of a row in bit i % 64 of word i // 64.  `buf`
+    is a scratch array of at least rows * p + 8 booleans, made by
+    np.zeros: a byte other than 0 or 1 would carry into the packed bits.
 
     The comparison fills buf row after row with no padding.  Signs 8g to
     8g + 7 of every row, one byte each, are read from buf as one unaligned
@@ -222,7 +227,7 @@ def _pack(compare, x, buf, out):
     0x0102040810204080, byte i lands in bit 56 + i with no carry into
     those bits, so a shift leaves them packed in byte g % 8 of the word.
     The mask clears the other bits, among them those the read took from
-    the next row (or from buf's last 8 entries).
+    the next row (or from buf's last 8 entries), so the word fits `out`.
     """
     rows, p = x.shape
     compare(x, 0, out=buf[:rows * p].reshape(rows, p))
@@ -238,35 +243,38 @@ def _pack(compare, x, buf, out):
 
 def _codes(x):
     """What the OSS loss reads of each row of x, in one pass of ROWS rows
-    at a time: (|x|^2, p - |x|^2/2, pos, neg).  pos and neg are the sign
-    codes, one bit per coordinate for "positive" and one for "negative"
-    (`_pack`); a coordinate's signs match when both bits agree."""
+    at a time: (|x|^2, pos, neg).  pos and neg are the sign codes, one bit
+    per coordinate for "positive" and one for "negative" (`_pack`); a
+    coordinate's signs match when both bits agree.  A code is ceil(p / 64)
+    words, each the narrowest that holds min(p, 64) bits: at p = 10 a row
+    takes 8 + 2 + 2 bytes."""
     n, p = x.shape
-    norms2, base = np.empty(n), np.empty(n)
-    pos = np.zeros((n, -(-p // 64)), dtype=np.uint64)
+    norms2 = np.empty(n)
+    word = np.min_scalar_type((1 << min(p, 64)) - 1)
+    pos = np.zeros((n, -(-p // 64)), dtype=word)
     neg = np.zeros_like(pos)
     buf = np.zeros(min(n, ROWS) * p + 8, dtype=bool)
     for a in range(0, n, ROWS):
         rows = slice(a, a + ROWS)
         np.einsum("ij,ij->i", x[rows], x[rows], out=norms2[rows])
-        np.divide(norms2[rows], 2.0, out=base[rows])
-        np.subtract(p, base[rows], out=base[rows])
         _pack(np.greater, x[rows], buf, pos[rows])
         _pack(np.less, x[rows], buf, neg[rows])
-    return norms2, base, pos, neg
+    return norms2, pos, neg
 
 
-def _add_loss(loss, pos, neg, base, signs, h, p):
-    """loss += (base - h + p - differ)^2 for the rows with sign codes pos
-    and neg, where differ counts their coordinates whose sign differs from
-    those of `signs`, the codes of the last pick, and h is half its
-    squared norm."""
+def _add_loss(loss, pos, neg, norms2, signs, h, p):
+    """loss += ((p - norms2/2) - h + p - differ)^2 for the rows with
+    squared norms norms2 and sign codes pos and neg, where differ counts
+    their coordinates whose sign differs from those of `signs`, the codes
+    of the last pick, and h is half its squared norm."""
     differ = np.bitwise_count((pos ^ signs[0]) | (neg ^ signs[1]))
     # the sum over words is exact: one word needs none
     differ = differ[:, 0] if differ.shape[1] == 1 else \
         differ.sum(axis=1, dtype=np.intp)
     # (p - |x|^2/2 - |s|^2/2 + match)^2, in that order of operations
-    d = base - h
+    d = np.divide(norms2, 2.0)
+    np.subtract(p, d, out=d)
+    d -= h
     d += p - differ
     d *= d
     loss += d
@@ -291,21 +299,23 @@ def oss_seed(x, k):
     loss, both at the elimination boundary and for the next pick, go to
     the lower row index.
 
-    Cost: one O(np) pass, ROWS rows at a time, computes p - |x|^2/2 and
-    packs each row's signs into ceil(p / 64) words per sign, eight signs
-    per multiply (`_codes`); a loss update then costs O(ceil(p / 64))
-    word operations per live row, also ROWS rows at a time.
+    Cost: one O(np) pass, ROWS rows at a time, computes |x|^2 and packs
+    each row's signs into ceil(p / 64) words per sign, each word the
+    narrowest that holds min(p, 64) bits, eight signs per multiply
+    (`_codes`); a loss update then costs O(ceil(p / 64)) word operations
+    per live row, also ROWS rows at a time.  At p = 10 the rows take 28
+    bytes each at the peak: |x|^2 and the loss 8 each, the two codes 2
+    each, and the copy of the loss that the first elimination partitions.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
-    norms2, base, pos, neg = _codes(x)
+    _check_k(k, n)
+    norms2, pos, neg = _codes(x)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = int(np.argmax(norms2))
     # Until the first elimination every row but the picks is live, so
     # `ids` is None, the loss covers all n rows with the picks held at
-    # +inf, and pos, neg and base are read in place.  After it `ids`
+    # +inf, and norms2, pos and neg are read in place.  After it `ids`
     # lists the live rows in ascending order.  Either way argmin ties go
     # to the lower row.
     ids = None
@@ -316,7 +326,7 @@ def oss_seed(x, k):
         signs, h = (pos[s], neg[s]), norms2[s] / 2.0
         for a in range(0, loss.size, ROWS):
             rows = slice(a, a + ROWS) if ids is None else ids[a:a + ROWS]
-            _add_loss(loss[a:a + ROWS], pos[rows], neg[rows], base[rows],
+            _add_loss(loss[a:a + ROWS], pos[rows], neg[rows], norms2[rows],
                       signs, h, p)
         if ids is None:
             loss[chosen[:i]] = np.inf

@@ -48,6 +48,17 @@ class TestScaling:
                            match=r"^constant column\(s\): \[1\]$"):
             seeding.scale_to_unit_cube(x)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_nan_column_rejected(self, order):
+        # a NaN in column 1 inside the blocks and in column 3 after them;
+        # neither hi <= lo nor an infinite span catches a NaN
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((3 * seeding.BLOCK + 5, 4))
+        x[seeding.BLOCK + 2, 1], x[-1, 3] = np.nan, np.nan
+        with pytest.raises(seeding.ColumnRangeError,
+                           match=r"^column\(s\) with NaN: \[1, 3\]$"):
+            seeding.scale_to_unit_cube(np.asarray(x, order=order))
+
     def test_overflowing_range_rejected(self):
         # every value is finite, but hi - lo of column 1 is not
         x = np.column_stack([np.arange(5.0),
@@ -209,6 +220,31 @@ def test_pack_matches_packbits(p):
         out = np.zeros((300, -(-p // 64)), dtype=np.uint64)
         seeding._pack(compare, x, buf, out)
         assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 7])
+@pytest.mark.parametrize("seed", [
+    lambda x, k: seeding.uniform_seed(x, k, 0),
+    seeding.iboss_seed,
+    seeding.oss_seed,
+], ids=["uniform", "iboss", "oss"])
+def test_k_outside_one_to_n_rejected(seed, k):
+    x = np.random.default_rng(34).uniform(-1, 1, (6, 2))
+    match = r"^k=7 exceeds n=6$" if k > 6 else rf"^k={k} is below 1$"
+    with pytest.raises(ValueError, match=match):
+        seed(x, k)
+
+
+def test_smallest_matches_stable_argsort():
+    # ties at every boundary, and +inf, as the picks hold in the OSS loss
+    rng = np.random.default_rng(33)
+    vals = rng.integers(0, 5, 80).astype(float)
+    vals[rng.random(80) < 0.15] = np.inf
+    for m in range(1, vals.size):
+        want = np.sort(np.argsort(vals, kind="stable")[:m])
+        assert seeding._smallest(vals, m).tolist() == want.tolist()
+    # an m-th smallest that is NaN keeps nothing
+    assert seeding._smallest(np.array([1.0, np.nan, np.nan]), 2).size == 0
 
 
 def oss_loop(x, k):
@@ -431,18 +467,47 @@ class TestReferenceEquivalence:
     def test_oss_across_row_blocks(self, n, k, order):
         x = np.asarray(tie_heavy(n, n, 3, levels=2) / 2.0, order=order)
         x[:, 2] += np.random.default_rng(n).uniform(-0.2, 0.2, n)
-        norms2, base, pos, neg = seeding._codes(x)
+        norms2, pos, neg = seeding._codes(x)
         assert norms2.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
-        assert base.tobytes() == (3 - norms2 / 2.0).tobytes()
         for code, signs in ((pos, x > 0), (neg, x < 0)):
             assert code.view(np.uint8)[:, 0].tolist() == \
                 np.packbits(signs, axis=1, bitorder="little")[:, 0].tolist()
+        # the loss term, built from norms2 alone, has the bytes of the
+        # stored p - |x|^2/2 less h, plus p - differ, squared
+        s = int(np.argmax(norms2))
+        h = norms2[s] / 2.0
+        loss = np.ones(n)
+        seeding._add_loss(loss, pos, neg, norms2, (pos[s], neg[s]), h, 3)
+        differ = (np.sign(x) != np.sign(x[s])).sum(axis=1)
+        d = (3 - norms2 / 2.0) - h
+        d += 3 - differ
+        d *= d
+        want = np.ones(n)
+        want += d
+        assert loss.tobytes() == want.tobytes()
         assert seeding.oss_seed(x, k).indices.tolist() == oss_loop(x, k)
+
+    @pytest.mark.parametrize("p, word", [
+        (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+        (32, np.uint32), (33, np.uint64), (64, np.uint64), (65, np.uint64),
+    ])
+    def test_oss_narrow_sign_codes(self, p, word):
+        # the codes take the narrowest word holding min(p, 64) bits; ties,
+        # 0.0 and -0.0 (signed like 0.0) in every column
+        x = tie_heavy(p, 120, p, levels=2) / 2.0
+        x[::2] *= -1.0
+        assert (x == 0).mean() > 0.1
+        _, pos, neg = seeding._codes(x)
+        assert pos.dtype == neg.dtype == word
+        assert pos.shape == neg.shape == (120, -(-p // 64))
+        assert seeding.oss_seed(x, 12).indices.tolist() == oss_loop(x, 12)
 
 
 def test_oss_memory_per_row():
-    # the loss, |x|^2, p - |x|^2/2 and the two sign codes take 40 bytes
-    # a row; the set-up and the loss updates go a block of rows at a time
+    # the loss and |x|^2 take 8 bytes a row each, the two sign codes 2
+    # each at p = 10, and the first elimination partitions a copy of the
+    # loss: 28 bytes a row.  The set-up and the loss updates go a block of
+    # rows at a time
     n = 200_000
     x = np.random.default_rng(32).uniform(-1, 1, (n, 10))
     tracemalloc.start()
@@ -451,7 +516,7 @@ def test_oss_memory_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56 * n
+    assert peak < 32 * n
 
 
 @st.composite
