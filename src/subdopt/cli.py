@@ -66,9 +66,9 @@ def _ingest_spec_from_args(args):
     )
 
 
-def _record_row(r):
+def _record_row(r, cfg):
     row = {"method": r.method, "repetition": r.repetition, "seed": r.seed,
-           "k": r.k, "K": r.K, "iterations": r.iterations,
+           "k": cfg.k, "K": cfg.K, "iterations": cfg.alg1_iterations,
            "outliers_selected": r.outliers_selected, "error": r.error}
     for part in (r.mse, r.eff):
         if part is not None:
@@ -83,7 +83,7 @@ _CSV_FIELDS = ["method", "repetition", "seed", "k", "K", "iterations",
 
 def _write_report(report, outdir):
     """Write report.json and report.csv and print the aggregates."""
-    rows = [_record_row(r) for r in report.records]
+    rows = [_record_row(r, report.config) for r in report.records]
     agg = report.aggregates()
     _write_json(outdir / "report.json", {"records": rows, "aggregates": agg})
     with open(outdir / "report.csv", "w", newline="") as fh:
@@ -94,7 +94,7 @@ def _write_report(report, outdir):
     print(f"{'method':<8} {'mse_slopes':>12} {'mse_b0':>10} "
           f"{'d_eff':>8} {'a_eff':>8} {'gen_var':>12}")
     for method, a in agg.items():
-        if a.get("failed") or "mse_slopes" not in a:
+        if a.get("failed"):
             print(f"{method:<8} (all repetitions failed)")
             continue
         print(f"{method:<8} {a['mse_slopes']['mean']:>12.5g} "
@@ -114,6 +114,10 @@ def _cmd_select(args, config, outdir):
     start = time.perf_counter()
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     timings["scale_s"] = time.perf_counter() - start
+    n, p = ds.x.shape
+    ExperimentConfig(n, p, args.k, args.K, alg1_iterations=args.iterations,
+                     methods=(args.method,), rng_seed=args.seed,
+                     seed_method=args.seed_method).validate()
     sel, trace, stages = simulate.select(
         x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
         args.seed_method)
@@ -126,8 +130,8 @@ def _cmd_select(args, config, outdir):
         "".join(f"{i}\n" for i in sel.indices))
     report = {
         "method": args.method,
-        "n": int(ds.x.shape[0]),
-        "p": int(ds.x.shape[1]),
+        "n": n,
+        "p": p,
         "k": args.k,
         "K": args.K,
         "rejected_rows": ds.n_rejected,

@@ -44,8 +44,8 @@ REL_IMPROVEMENT = 1e-12
 class ExchangeTrace:
     iteration_accepts: list[int] = field(default_factory=list)  # per pass
     #: log V after each pass, and seconds from the start of the exchange
-    #: (the pool build included) to the end of each pass; the last is the
-    #: run's time
+    #: (the pool build included, unless the pool was given) to the end of
+    #: each pass; the last is the run's time
     pass_log_v: list[float] = field(default_factory=list)
     pass_seconds: list[float] = field(default_factory=list)
     initial_log_v: float = 0.0

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 
 class SingularMomentError(Exception):
@@ -84,8 +84,11 @@ def efficiency(x, sel):
     chol, log_det = factor_moment(z.T @ z)
     p1 = chol.shape[0]
     d_eff = math.exp(log_det / p1) / k
-    # trace(Q^{-1}) via a triangular solve; equals the eigenvalue sum
-    w = solve_triangular(chol, np.eye(p1), lower=True)
+    # trace(Q^{-1}) via a triangular solve; equals the eigenvalue sum.
+    # BLAS dtrsm gives the bits of scipy's solve_triangular, which took
+    # milliseconds, not microseconds, in some processes with default
+    # BLAS threads.
+    w = dtrsm(1.0, chol, np.eye(p1), lower=1)
     a_eff = p1 / (k * float(np.sum(w * w)))
     xc = xs - xs.mean(axis=0)
     # the covariance of the selected rows, divisor k

@@ -133,15 +133,19 @@ def _smallest(vals, m):
     the boundary go to the lower position.
 
     One O(len) partition finds the m-th smallest value; nothing is sorted.
-    One boolean mask marks the values below it and the lowest-position
-    ties.  If the m-th smallest is NaN, nothing is returned.
+    One scan marks the values at or below it; only if that marks more
+    than m are the surplus ties, at the highest positions, dropped.  If
+    the m-th smallest is NaN, nothing is returned.
     """
     if m >= vals.size:
         return np.arange(vals.size)
     thresh = np.partition(vals, m - 1)[m - 1]
-    keep = vals < thresh
-    keep[np.flatnonzero(vals == thresh)[:m - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+    top = np.flatnonzero(vals <= thresh)
+    if top.size > m:
+        tie = vals[top] == thresh
+        tie[np.flatnonzero(tie)[:m - top.size]] = False
+        top = top[~tie]
+    return top
 
 
 def _extremes(x, j, m, taken, blocks, largest=False, ties_high=False):

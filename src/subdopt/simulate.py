@@ -24,6 +24,7 @@ class ConfigError(ValueError):
 
 METHODS = ("uniform", "iboss", "oss", "alg1", "valg1")
 SEED_METHODS = METHODS[:3]   # what alg1/valg1 can start from
+EXCHANGE_METHODS = METHODS[3:]
 
 
 @dataclass
@@ -60,7 +61,7 @@ class ExperimentConfig:
     rho: float = 0.5
     repetitions: int = 100
     alg1_iterations: int = 5
-    methods: tuple = ("uniform", "iboss", "oss", "alg1", "valg1")
+    methods: tuple = METHODS
     rng_seed: int = 0
     outliers: OutlierSpec | None = None
     seed_method: str = "oss"       # what alg1/valg1 start from
@@ -88,6 +89,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if self.seed_method not in SEED_METHODS:
             raise ConfigError(f"invalid seed_method {self.seed_method!r}")
+        if self.k == self.n and set(self.methods) & set(EXCHANGE_METHODS):
+            raise ConfigError(f"k = n = {self.n} leaves no rows for the "
+                              f"exchange pool")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.outliers is not None and \
@@ -105,12 +109,8 @@ class RunRecord:
     method: str
     repetition: int
     seed: int
-    k: int
-    K: int
-    iterations: int
     mse: metrics.MseReport | None
     eff: metrics.EfficiencyReport | None
-    seconds: float
     selection: np.ndarray | None = None
     outliers_selected: int = 0
     error: str | None = None
@@ -138,15 +138,13 @@ class ExperimentReport:
                     ("gen_variance", lambda r: r.eff.gen_variance),
                     ("d_eff", lambda r: r.eff.d_eff),
                     ("a_eff", lambda r: r.eff.a_eff)):
-                vals = np.array([get(r) for r in recs
-                                 if r.mse is not None and r.eff is not None])
-                if vals.size:
-                    agg[name] = {
-                        "mean": float(vals.mean()),
-                        "median": float(np.median(vals)),
-                        "q25": float(np.quantile(vals, 0.25)),
-                        "q75": float(np.quantile(vals, 0.75)),
-                    }
+                vals = np.array([get(r) for r in recs])
+                agg[name] = {
+                    "mean": float(vals.mean()),
+                    "median": float(np.median(vals)),
+                    "q25": float(np.quantile(vals, 0.25)),
+                    "q75": float(np.quantile(vals, 0.75)),
+                }
             out[m] = agg
         return out
 
@@ -160,12 +158,17 @@ def ols_fit(x, y, sel):
     matrix can differ in the last bit (on 99 of 4,000 random designs
     with 2 to 11 uniform covariates), so moving the fit onto
     `factor_moment` would change the bytes of `simulate` reports.
+    Z^T y is summed over blocks of `GEN_ROWS` rows, so that it does not
+    depend on the BLAS thread count (see `gen_response`).
     """
     idx = as_indices(sel)
     z = augment(np.asarray(x, dtype=float)[idx])
     ys = np.asarray(y, dtype=float)[idx]
+    zy = z[:GEN_ROWS].T @ ys[:GEN_ROWS]
+    for a in range(GEN_ROWS, ys.size, GEN_ROWS):
+        zy += z[a:a + GEN_ROWS].T @ ys[a:a + GEN_ROWS]
     try:   # scipy raises ValueError on moments that overflowed to inf
-        beta = cho_solve(cho_factor(z.T @ z, lower=True), z.T @ ys)
+        beta = cho_solve(cho_factor(z.T @ z, lower=True), zy)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularMomentError("selection is singular or its moments "
                                   "overflow") from exc
@@ -229,7 +232,7 @@ def _seed(x_scaled, name, k, rng_seed):
         return seeding.iboss_seed(x_scaled, k)
     if name == "oss":
         return seeding.oss_seed(x_scaled, k)
-    raise ConfigError(f"unknown method {name!r}")
+    raise ValueError(f"unknown method {name!r}")
 
 
 def _cached(cache, key, build):
@@ -251,21 +254,10 @@ def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
     time, matching how the exchange is deployed.  `cache`, a dict kept
     for one dataset and one (k, K, rng_seed), builds each seed and the
     pool once across calls; a cached stage counts the seconds it took to
-    build.
+    build.  Callers check the arguments: `ExperimentConfig.validate`, or
+    `timing_study`'s own checks.
     """
-    n = x_scaled.shape[0]
-    exchanging = method in ("alg1", "valg1")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must be in [1, n={n}], got {k}")
-    if K < 1:
-        raise ConfigError(f"K must be >= 1, got {K}")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    if rng_seed < 0:
-        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
-    if exchanging and k == n:
-        raise ConfigError(f"k = n = {n} leaves no rows for the exchange "
-                          f"pool")
+    exchanging = method in EXCHANGE_METHODS
     cache = {} if cache is None else cache
     name = seed_method if exchanging else method
     seed, seed_s = _cached(cache, name,
@@ -288,25 +280,23 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
 
     The methods share one cache, so each seed and the pool are built once.
     """
-    head = (rep, rep_seed, cfg.k, cfg.K, cfg.alg1_iterations)
     try:
         x_scaled, _ = seeding.scale_to_unit_cube(x)
     except seeding.ColumnRangeError as exc:
-        return [RunRecord(m, *head, None, None, 0.0, error=str(exc))
+        return [RunRecord(m, rep, rep_seed, None, None, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}
     y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
         try:
-            sel, _, stages = select(x_scaled, method, cfg.k, cfg.K,
-                                    cfg.alg1_iterations, rep_seed,
-                                    cfg.seed_method, cache)
+            sel = select(x_scaled, method, cfg.k, cfg.K, cfg.alg1_iterations,
+                         rep_seed, cfg.seed_method, cache)[0]
             _, slopes = ols_fit(x, y, sel)
             b0 = adjusted_intercept(y_bar, x_bar, slopes)
             msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
             eff = metrics.efficiency(x_scaled, sel)
         except (SingularMomentError, np.linalg.LinAlgError) as exc:
-            records.append(RunRecord(method, *head, None, None, 0.0,
+            records.append(RunRecord(method, rep, rep_seed, None, None,
                                      error=str(exc)))
             continue
         n_out = 0
@@ -314,7 +304,7 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
             n_out = int(np.count_nonzero(
                 sel.indices >= cfg.n - cfg.outliers.count))
         records.append(RunRecord(
-            method, *head, msr, eff, sum(stages.values()),
+            method, rep, rep_seed, msr, eff,
             sel.indices.copy() if keep_selections else None, n_out))
     return records
 
@@ -371,7 +361,7 @@ class TimingCell:
     k: int
     K: int
     iterations: int
-    mean_seconds: float      # from the exchange's start to pass end
+    mean_seconds: float      # pool build plus the exchange to pass end
     mean_pct_v_gain: float   # percent increase of V over the seed
 
 
@@ -381,11 +371,10 @@ def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
                  seed_method: str = "oss"):
     """Mean exchange wall time and V gain per (k, K, iterations) cell.
 
-    Each (k, K, repetition) runs the first-improvement exchange once, for
-    the largest iteration count, and reads every cell off that run's
-    per-pass trace: the first m passes of a run are the m-pass run.  A
-    cell's time is the time from the start of the exchange, pool build
-    included, to the end of pass m.
+    Each (k, K, repetition) runs one `select` of alg1, for the largest
+    iteration count, and reads every cell off that run's per-pass trace:
+    the first m passes of a run are the m-pass run.  A cell's time is the
+    pool build's plus the exchange's from its start to the end of pass m.
     """
     if not (ks and Ks and iteration_counts):
         raise ConfigError("timing grid must be nonempty lists")
@@ -408,11 +397,12 @@ def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
             secs = np.empty((len(iteration_counts), repetitions))
             gains = np.empty_like(secs)
             for rep, xs in enumerate(datasets):
-                seed = select(xs, seed_method, k, K,
-                              rng_seed=rng_seed + rep)[0]
-                _, trace = exchange.alg1(xs, seed, K, max(iteration_counts))
+                _, trace, stages = select(xs, "alg1", k, K,
+                                          max(iteration_counts),
+                                          rng_seed + rep, seed_method)
                 for j, m in enumerate(iteration_counts):
-                    secs[j, rep] = trace.pass_seconds[m - 1]
+                    secs[j, rep] = stages["pool_s"] + \
+                        trace.pass_seconds[m - 1]
                     gains[j, rep] = 100.0 * math.expm1(
                         trace.pass_log_v[m - 1] - trace.initial_log_v)
             cells += [TimingCell(k, K, m, float(secs[j].mean()),

@@ -708,11 +708,15 @@ class TestSelectCommand:
         ["--method", "alg1", "--k", "5", "--seed-method", "uniform",
          "--seed", "-3"],
         ["--method", "oss", "--k", "5", "--log-columns", "b"],
+        ["--method", "oss", "--k", "5", "--K", "0"],
+        ["--method", "oss", "--k", "5", "--iterations", "0"],
+        ["--method", "oss", "--k", "5", "--seed", "-1"],
     ], ids=["iboss-k0", "alg1-k0", "k-above-n", "K0", "K-negative",
             "iterations0", "alg1-k-n", "valg1-k-n", "delimiter-two-chars",
             "delimiter-empty", "out-is-a-file", "covariate-repeated",
             "skip-rows-negative", "seed-negative", "uniform-seed-negative",
-            "log-of-negative"])
+            "log-of-negative", "oss-K0", "oss-iterations0",
+            "oss-seed-negative"])
     def test_bad_sizes_are_config_errors(self, csv_file, tmp_path, capsys,
                                          args):
         # also bad delimiters and an --out that names an existing file
@@ -1025,6 +1029,21 @@ def test_bad_config_is_config_error(tmp_path, command, change, needle):
                          tmp_path)
     assert rc == cli.EXIT_INGEST
     assert err.startswith("error:") and needle in err, err
+
+
+def test_exchange_without_pool_fails_before_any_data(tmp_path, monkeypatch):
+    # k = n leaves alg1 no pool rows; the config check says so before
+    # repetition 0 generates its data
+    calls = []
+    generate = simulate.gen_mvn_equicorr
+    monkeypatch.setattr(simulate, "gen_mvn_equicorr",
+                        lambda *a: calls.append(a) or generate(*a))
+    cfg = {**BASE_CONFIGS["simulate"], "k": 200,
+           "methods": ["uniform", "alg1"]}
+    rc, err = run_config("simulate", cfg, tmp_path)
+    assert rc == cli.EXIT_INGEST
+    assert err == "error: k = n = 200 leaves no rows for the exchange pool\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", sorted(BASE_CONFIGS))

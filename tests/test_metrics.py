@@ -62,6 +62,30 @@ class TestEfficiency:
             assert rep.a_eff == pytest.approx((p + 1) / (k * lam.sum()),
                                               rel=1e-8)
 
+    def test_triangular_solve_matches_solve_triangular(self):
+        # a_eff solves L W = I with BLAS dtrsm; it must give the bits of
+        # scipy's solve_triangular, or a_eff bytes would change
+        from scipy.linalg import solve_triangular
+        from scipy.linalg.blas import dtrsm
+        rng = np.random.default_rng(7)
+        near = rng.uniform(-1, 1, (30, 3))
+        near[:, 2] = near[:, 1] + 1e-6 * rng.standard_normal(30)
+        designs = [np.empty((5, 0)),   # p1 = 1
+                   rng.uniform(-1, 1, (40, 1)),
+                   np.round(rng.uniform(-1, 1, (60, 6)), 1),
+                   rng.uniform(-1, 1, (200, 10)),
+                   near]
+        for x in designs:
+            z = metrics.augment(x)
+            chol, _ = metrics.factor_moment(z.T @ z)
+            p1 = chol.shape[0]
+            want = solve_triangular(chol, np.eye(p1), lower=True)
+            assert dtrsm(1.0, chol, np.eye(p1), lower=1).tobytes() == \
+                want.tobytes()
+            k = x.shape[0]
+            assert metrics.efficiency(x, range(k)).a_eff == \
+                p1 / (k * float(np.sum(want * want)))
+
     def test_efficiencies_bounded_for_scaled_data(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (50, 4))

@@ -245,6 +245,17 @@ def test_smallest_matches_stable_argsort():
         assert seeding._smallest(vals, m).tolist() == want.tolist()
     # an m-th smallest that is NaN keeps nothing
     assert seeding._smallest(np.array([1.0, np.nan, np.nan]), 2).size == 0
+    # values rounded to 0.1 tie heavily; 0.0 and -0.0 tie too, -inf comes
+    # first and NaN last
+    vals = np.round(rng.random(150), 1)
+    vals[rng.random(150) < 0.2] = -0.0
+    vals[rng.random(150) < 0.05] = -np.inf
+    vals[rng.random(150) < 0.1] = np.nan
+    ranked = np.count_nonzero(~np.isnan(vals))
+    for m in range(1, vals.size):
+        want = np.sort(np.argsort(vals, kind="stable")[:m]) \
+            if m <= ranked else []
+        assert seeding._smallest(vals, m).tolist() == list(want)
 
 
 def oss_loop(x, k):

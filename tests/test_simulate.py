@@ -50,6 +50,31 @@ class TestOlsFit:
             simulate.ols_fit(x, np.ones(4), range(4))
         assert isinstance(got.value.__cause__, cause)
 
+    def test_full_data_fit_independent_of_thread_count(self):
+        # bootstrap_mse fits all n rows for its reference.  One Z^T y
+        # product over 60,000 rows differs in the last bit between one
+        # BLAS thread and several, so the fit sums it over GEN_ROWS
+        # blocks.  With one CPU both children run on one thread, and the
+        # test cannot tell the two apart.
+        code = """
+import hashlib
+import numpy as np
+from subdopt import simulate
+rng = np.random.default_rng(8)
+x, y = rng.standard_normal((60_000, 10)), rng.standard_normal(60_000)
+beta, _ = simulate.ols_fit(x, y, np.arange(60_000))
+print(hashlib.sha256(beta.tobytes()).hexdigest())
+"""
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                               "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(simulate.__file__).parents[1])
+        digests = [subprocess.run(
+            [sys.executable, "-c", code], env=env | threads,
+            capture_output=True, text=True, timeout=120, check=True).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+        assert digests[0] == digests[1] != ""
+
 
 class TestConditionalSlopeMse:
     def test_realised_mean_matches_trace(self):
@@ -223,6 +248,16 @@ class TestRunExperiment:
             self.small_config(methods=()).validate()
         with pytest.raises(ConfigError):
             self.small_config(methods=("magic",)).validate()
+        # an exchange needs a pool row outside the selection
+        for methods in (("alg1",), ("uniform", "valg1")):
+            with pytest.raises(ConfigError, match=r"^k = n = 400 leaves no "
+                                                  r"rows for the exchange "
+                                                  r"pool$"):
+                self.small_config(k=400, methods=methods).validate()
+
+    def test_k_equal_n_accepted_for_seeds_alone(self):
+        cfg = self.small_config(k=400, methods=simulate.SEED_METHODS)
+        assert cfg.validate() is cfg
 
     def test_aggregates_shape(self):
         report = simulate.run_experiment(self.small_config())
