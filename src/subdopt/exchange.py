@@ -44,8 +44,7 @@ REL_IMPROVEMENT = 1e-12
 class ExchangeTrace:
     iteration_accepts: list[int] = field(default_factory=list)  # per pass
     #: log V after each pass, and seconds from the start of the exchange
-    #: (the pool build included, unless the pool was given) to the end of
-    #: each pass; the last is the run's time
+    #: to the end of each pass; the last is the run's time
     pass_log_v: list[float] = field(default_factory=list)
     pass_seconds: list[float] = field(default_factory=list)
     initial_log_v: float = 0.0
@@ -128,12 +127,12 @@ def _swap_chain(idx, F, ZS, ZF, i, chain):
 
 
 def _exchange(x, seed, K, iterations, first_improvement, pool=None):
-    t0 = time.perf_counter()
     x = np.asarray(x, dtype=float)
     idx = as_indices(seed).copy()
     k = idx.size
     if pool is None:
         pool = candidate_pool(x, idx, K)
+    t0 = time.perf_counter()
     F = pool.indices.copy()
     if k < 1 or np.unique(np.concatenate((idx, F))).size != k + F.size:
         raise ValueError("selection must be non-empty, with rows distinct "

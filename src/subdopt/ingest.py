@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -185,12 +186,14 @@ def _ranges(fh, first):
 
 def _parse_range(path, encoding, delimiter, converters, first, stop):
     """Parse the lines in bytes [first, stop) of the file with one
-    `np.loadtxt` call: (array, head), the head being the array's shape,
-    the number of data lines, the number of blank lines and whether the
-    last data line ends inside a quoted field.  Lines end only at LF,
-    and each is decoded strictly.  A byte the encoding rejects, a line
-    longer than `csv.field_size_limit()` or with an odd number of quotes,
-    or a non-finite value, raises ValueError."""
+    `np.loadtxt` call: (array, head), the head being the array's shape
+    and the number of blank lines.  Lines end only at LF, and each is
+    decoded strictly.  ValueError, which sends the file to the row
+    parser, if `csv` could read the range differently: a byte the
+    encoding rejects, a line longer than `csv.field_size_limit()` or with
+    an odd number of quotes, fewer rows than data lines (a quoted field
+    across lines), or a last line that ends inside a quoted field; and
+    if a value is non-finite."""
     blank = lines = 0
     last = ""
     limit = csv.field_size_limit()
@@ -222,16 +225,16 @@ def _parse_range(path, encoding, delimiter, converters, first, stop):
     # min and max carry a NaN and reach an inf
     if data.size and not np.isfinite((data.min(), data.max())).all():
         raise ValueError("a non-finite value")
-    return data, (*data.shape, lines, blank,
-                  bool(lines) and _ends_quoted(last, delimiter))
+    if len(data) != lines or lines and _ends_quoted(last, delimiter):
+        raise ValueError("csv may read a line into a field")
+    return data, (*data.shape, blank)
 
 
-def _fork(parse, first, stop, reads):
+def _fork(parse, first, stop):
     """Run `parse(first, stop)` in a child process, which sends the head,
     then the array column by column, down a pipe and leaves through
     `os._exit`, so it never flushes the parent's stdio; it exits 1 if
-    anything fails.  `reads` are the earlier children's pipe readers,
-    which it closes.  Returns (pid, buffered reader of the pipe)."""
+    anything fails.  Returns (pid, buffered reader of the pipe)."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -244,8 +247,7 @@ def _fork(parse, first, stop, reads):
         return pid, open(r, "rb")
     code = 1
     try:
-        for fd in [r] + [pipe.fileno() for pipe in reads]:
-            os.close(fd)
+        os.close(r)
         data, head = parse(first, stop)
         with open(w, "wb") as out:
             out.write(np.array(head, dtype=np.int64))
@@ -254,24 +256,6 @@ def _fork(parse, first, stop, reads):
         code = 0
     finally:
         os._exit(code)
-
-
-def _width(heads):
-    """The field count of the rows of every range, from their heads.
-
-    ValueError, which sends the file to the row parser, if a range reads
-    fewer rows than lines (a quoted field across lines), or ends inside a
-    quoted field that `csv` would carry into the next range, or into a
-    blank line of its own if it is the last; or if no range has rows, or
-    two ranges differ in width.
-    """
-    for i, (rows, _, lines, blank, quoted) in enumerate(heads):
-        if rows != lines or quoted and (i + 1 < len(heads) or blank):
-            raise ValueError("csv may read a line into a field")
-    widths = {width for rows, width, *_ in heads if rows}
-    if len(widths) != 1:
-        raise ValueError("no rows, or ranges of different widths")
-    return widths.pop()
 
 
 def ingest(spec):
@@ -293,23 +277,18 @@ def ingest(spec):
     counted as rejected.
 
     The row-by-row parser `_ingest_rows` reads the file instead if a
-    line is longer than `csv.field_size_limit()` or holds an odd number
-    of quotes, or if a range fails to parse, finds a non-finite value or
-    a field count other than the header's, or reads fewer rows than
-    lines (a quoted field across lines), or if no range finds a row.  It
-    also does if a range but the last ends inside a quoted field, which
-    `csv` would carry into the next range, or if the last range holds a
-    blank line and ends inside a quoted field, into which `csv` could
-    read the blank line.  A range splits lines only at LF, so a file
-    whose lines end in a bare CR goes to the row parser too:
-    `np.loadtxt` rejects an unquoted CR inside a line, while a quoted
-    one stays in its field.  Where both succeed they give the same arrays;
-    the row parser also reads cells only `float()` reads (`1_0`,
-    non-ASCII digits), and otherwise raises the error naming the
-    offending line and column.  A column that does not resolve is
-    reported once the whole block has parsed, so a bad row is still
-    reported first.  `Dataset.chunks` is W, or 0 when the row parser
-    read the file.
+    range could be read differently by `csv` (`_parse_range` names the
+    cases), fails to parse or holds a non-finite value, if no range
+    finds a row, or if ranges, or a range and the header, differ in
+    field count.  A range splits lines only at LF, so a file whose lines
+    end in a bare CR goes to the row parser too: `np.loadtxt` rejects an
+    unquoted CR inside a line, while a quoted one stays in its field.
+    Where both succeed they give the same arrays; the row parser also
+    reads cells only `float()` reads (`1_0`, non-ASCII digits), and
+    otherwise raises the error naming the offending line and column.  A
+    column that does not resolve is reported once the whole block has
+    parsed, so a bad row is still reported first.  `Dataset.chunks` is
+    W, or 0 when the row parser read the file.
 
     An input that cannot seek (a pipe, or a `<(...)` process
     substitution) is read once: it is copied to a temporary file, read
@@ -336,41 +315,37 @@ def ingest(spec):
 
 def _ingest(spec, fh):
     """`ingest` of the open file fh, which can seek."""
-    column_error = columns = None
     unused = {}
     children = []
     try:
         _, names = _header(iter(fh.readline, ""), spec)
         if names is not None:
-            try:
-                columns = _columns(spec, names)
-            except IngestError as exc:
-                column_error = exc   # raised once the rows parse
-            else:
-                used = _used(columns)
+            # a column that does not resolve is raised once the rows parse
+            with contextlib.suppress(IngestError):
+                used = _used(_columns(spec, names))
                 unused = {j: _skip for j in range(len(names))
                           if j not in used}
         ranges = _ranges(fh, fh.tell())
         parse = functools.partial(_parse_range, fh.name, fh.encoding,
                                   spec.delimiter, unused)
         for first, stop in ranges[1:]:
-            children.append(_fork(parse, first, stop,
-                                  [pipe for _, pipe in children]))
+            children.append(_fork(parse, first, stop))
         own, head = parse(*ranges[0])
         heads = [head]
         for _, pipe in children:
-            got = np.empty(5, dtype=np.int64)
+            got = np.empty(3, dtype=np.int64)
             if pipe.readinto(got) < got.nbytes:
                 raise ValueError("a range did not parse")
             heads.append(tuple(got.tolist()))
-        width = _width(heads)
+        widths = {width for rows, width, _ in heads if rows}
+        if len(widths) != 1:
+            raise ValueError("no rows, or ranges of different widths")
+        width, = widths
         if names is None:
             names = [f"c{j}" for j in range(width)]
-            columns = _columns(spec, names)
         if len(names) != width:
             raise ValueError("the row parser names the mismatch")
-        if column_error is not None:
-            raise column_error
+        columns = _columns(spec, names)
         used = _used(columns)
         # column-major, as `data[:, used]` was: each column is
         # contiguous for the column passes of scaling and seeding
@@ -400,7 +375,7 @@ def _ingest(spec, fh):
     if data is None:
         ds = _ingest_rows(spec, fh.name)
     else:
-        ds = _dataset(names, columns, data, sum(h[3] for h in heads),
+        ds = _dataset(names, columns, data, sum(h[2] for h in heads),
                       len(heads))
     ds.checksum = sha256(fh.name)
     return ds

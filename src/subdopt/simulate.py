@@ -77,9 +77,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must have p={self.p} entries")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"k must be in [1, n={self.n}], got {self.k}")
-        if min(self.p, self.K, self.repetitions, self.alg1_iterations) < 1:
-            raise ConfigError("p, K, repetitions and alg1_iterations must "
-                              "be >= 1")
+        for name in ("p", "K", "repetitions", "alg1_iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if not self.methods:
@@ -342,11 +343,11 @@ def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
-    beta_ref, _ = ols_fit(x, y, np.arange(n))
     cfg = ExperimentConfig(n=n, p=p, k=k, K=K, repetitions=B,
                            alg1_iterations=iterations,
                            methods=(method,), rng_seed=rng_seed,
                            seed_method=seed_method).validate()
+    beta_ref, _ = ols_fit(x, y, np.arange(n))
     report = ExperimentReport(cfg)
     for b in range(B):
         rep_seed = rng_seed + b

@@ -109,6 +109,9 @@ class TestIngest:
         path.write_text("1,2\n3,4\n")
         ds = ingest(IngestSpec(str(path), header=False))
         assert ds.columns == ["c0", "c1"]
+        ds = ingest(IngestSpec(str(path), header=False, response="c1"))
+        assert (ds.columns, ds.response_column) == (["c0"], "c1")
+        assert (ds.x.tolist(), ds.y.tolist()) == ([[1.0], [3.0]], [2.0, 4.0])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -214,11 +217,14 @@ class TestIngestPaths:
     @pytest.mark.parametrize("text, covariates, x", [
         ('u,v,w,x,z\n1,a"b,"p\n\nq",a"b,5\n', ["u", "z"], [[1.0, 5.0]]),
         ('u,v,w\n1,a"b,"p\n\n', ["u"], [[1.0]]),
-    ], ids=["blank-line-inside", "trailing-blank-line-inside"])
+        ('u,v,w\n1,2,3\n4,a"b,"p\n', ["u"], [[1.0], [4.0]]),
+    ], ids=["blank-line-inside", "trailing-blank-line-inside",
+            "last-line-inside"])
     def test_blank_line_in_field_opened_by_stray_quotes_falls_back(
             self, tmp_path, row_parses, text, covariates, x):
         # each line holds an even number of quotes, yet a quoted field
-        # runs past its line, so csv reads the blank line into it
+        # runs past its line, so csv reads a blank line, or the end of
+        # the file, into it
         path = tmp_path / "b.csv"
         path.write_text(text)
         spec = IngestSpec(str(path), covariates=covariates)
@@ -548,10 +554,10 @@ class TestSplitParse:
         parent, parse = os.getpid(), ingest_module._parse_range
 
         def over_promise(*args):
-            data, (rows, width, lines, *rest) = parse(*args)
+            data, (rows, *rest) = parse(*args)
             if os.getpid() != parent:
-                rows, lines = rows + 1, lines + 1
-            return data, (rows, width, lines, *rest)
+                rows += 1
+            return data, (rows, *rest)
 
         monkeypatch.setattr(ingest_module, "_parse_range", over_promise)
         spec = IngestSpec(str(csv_file), response="resp")
@@ -599,8 +605,12 @@ def process_substitution(data):
     if not os.path.isdir("/dev/fd"):
         pytest.skip("no /dev/fd")
     r, w = os.pipe()
-    writer = threading.Thread(target=lambda: open(w, "wb").write(data),
-                              daemon=True)
+
+    def write():
+        with open(w, "wb") as out:
+            out.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
         yield f"/dev/fd/{r}"
@@ -726,6 +736,19 @@ class TestSelectCommand:
                       + args)
         assert rc == cli.EXIT_INGEST
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--K", "0"], "K must be >= 1, got 0"),
+        (["--K", "-3"], "K must be >= 1, got -3"),
+        (["--iterations", "0"], "alg1_iterations must be >= 1, got 0"),
+    ], ids=["K0", "K-negative", "iterations0"])
+    def test_bad_size_names_its_field(self, csv_file, tmp_path, capsys,
+                                      args, message):
+        rc = cli.main(["select", "--input", str(csv_file), "--response",
+                       "resp", "--method", "alg1", "--k", "10",
+                       "--out", str(tmp_path / "o")] + args)
+        assert rc == cli.EXIT_INGEST
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, what", [
         ("--covariates", "covariate"), ("--log-columns", "log-transform"),
@@ -986,7 +1009,7 @@ def run_config(command, cfg, workdir):
     ("simulate", {"beta1": ["a", "b"]}, "beta1[0] must be a number"),
     ("simulate", {"outliers": {"count": -1, "mean_shift": [5.0, 0.0]}},
      "outliers.count"),
-    ("simulate", {"p": 0}, "p, K"),
+    ("simulate", {"p": 0}, "p must be >= 1, got 0"),
     ("simulate", {"rng_seed": -1}, "rng_seed"),
     ("timing", {"rho": "x"}, "rho must be a number"),
     ("timing", {"rho": 2.0}, "rho"),
@@ -1044,6 +1067,17 @@ def test_exchange_without_pool_fails_before_any_data(tmp_path, monkeypatch):
     assert rc == cli.EXIT_INGEST
     assert err == "error: k = n = 200 leaves no rows for the exchange pool\n"
     assert calls == []
+
+
+def test_bootstrap_checks_its_config_before_the_full_fit(tmp_path):
+    # covariate b is all zeros, so the full-data fit would be singular
+    a, y = np.random.default_rng(5).standard_normal((2, 60))
+    (tmp_path / "data.csv").write_text("a,b,resp\n" + "".join(
+        f"{u:.8f},0,{v:.8f}\n" for u, v in zip(a, y)))
+    rc, err = run_config("bootstrap", {**BASE_CONFIGS["bootstrap"], "k": 0},
+                         tmp_path)
+    assert rc == cli.EXIT_INGEST
+    assert err == "error: k must be in [1, n=60], got 0\n"
 
 
 @pytest.mark.parametrize("command", sorted(BASE_CONFIGS))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ class TestAlg1:
             _, short = exchange.alg1(x, seed, 6, iterations=m)
             assert short.pass_log_v == long.pass_log_v[:m]
             assert short.iteration_accepts == long.iteration_accepts[:m]
+
+    def test_pass_seconds_leave_out_the_pool_build(self, monkeypatch):
+        build = exchange.candidate_pool
+
+        def slow_build(*args):
+            time.sleep(0.2)
+            return build(*args)
+
+        monkeypatch.setattr(exchange, "candidate_pool", slow_build)
+        x = np.random.default_rng(8).standard_normal((80, 3))
+        seed = seeding.uniform_seed(x, 10, 0)
+        _, trace = exchange.alg1(x, seed, 6, iterations=3)
+        assert trace.pass_seconds[-1] < 0.2
 
     def test_fixed_point(self):
         # seed already holds the extreme rows: no swap can improve
