@@ -115,12 +115,11 @@ def _cmd_select(args, config, outdir):
     x_scaled, _ = seeding.scale_to_unit_cube(ds.x)
     timings["scale_s"] = time.perf_counter() - start
     n, p = ds.x.shape
-    ExperimentConfig(n, p, args.k, args.K, alg1_iterations=args.iterations,
-                     methods=(args.method,), rng_seed=args.seed,
-                     seed_method=args.seed_method).validate()
-    sel, trace, stages = simulate.select(
-        x_scaled, args.method, args.k, args.K, args.iterations, args.seed,
-        args.seed_method)
+    cfg = ExperimentConfig(n, p, args.k, args.K,
+                           alg1_iterations=args.iterations,
+                           methods=(args.method,), rng_seed=args.seed,
+                           seed_method=args.seed_method).validate()
+    sel, trace, stages = simulate.select(x_scaled, cfg, args.method)
     timings.update(stages, select_seconds=sum(stages.values()))
     start = time.perf_counter()
     eff = metrics.efficiency(x_scaled, sel)
@@ -228,8 +227,7 @@ def _fields(raw, target, prefix="", skip=()):
 def _cmd_simulate(args, config, outdir):
     cfg = ExperimentConfig(**_fields(config, ExperimentConfig))
     report = simulate.run_experiment(cfg)
-    return ([cfg.rng_seed + r for r in range(cfg.repetitions)], None, {},
-            _write_report(report, outdir))
+    return list(cfg.seeds), None, {}, _write_report(report, outdir)
 
 
 def _cmd_bootstrap(args, config, outdir):
@@ -240,7 +238,7 @@ def _cmd_bootstrap(args, config, outdir):
     if ds.y is None:
         raise ConfigError("bootstrap requires a response column")
     report = simulate.bootstrap_mse(ds.x, ds.y, **kw)
-    return ([kw["rng_seed"] + b for b in range(kw["B"])], ds.checksum, {},
+    return (list(report.config.seeds), ds.checksum, {},
             _write_report(report, outdir))
 
 
@@ -258,8 +256,11 @@ def _cmd_timing(args, config, outdir):
     for c in cells:
         print(f"{c.k:>4} {c.K:>4} {c.iterations:>6} "
               f"{c.mean_seconds:>10.4f} {c.mean_pct_v_gain:>10.2f}")
-    return ([kw["rng_seed"] + r for r in range(kw["repetitions"])], None,
-            timings, ["report.json"])
+    # every cell runs on the same repetitions, so on the first cell's seeds
+    first = ExperimentConfig(kw["n"], kw["p"], kw["ks"][0], kw["Ks"][0],
+                             repetitions=kw["repetitions"],
+                             rng_seed=kw["rng_seed"])
+    return list(first.seeds), None, timings, ["report.json"]
 
 
 # ------------------------------------------------------------------ hull

@@ -88,6 +88,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+            if self.methods.count(m) > 1:
+                raise ConfigError(f"method {m!r} is listed more than once")
         if self.seed_method not in SEED_METHODS:
             raise ConfigError(f"invalid seed_method {self.seed_method!r}")
         if self.k == self.n and set(self.methods) & set(EXCHANGE_METHODS):
@@ -99,6 +101,11 @@ class ExperimentConfig:
                 not 0 <= self.outliers.count <= self.n:
             raise ConfigError(f"outliers.count must be in [0, n={self.n}]")
         return self
+
+    @property
+    def seeds(self):
+        """The RNG seed of each repetition: rng_seed + its index."""
+        return range(self.rng_seed, self.rng_seed + self.repetitions)
 
     def model_params(self):
         beta1 = np.ones(self.p) if self.beta1 is None else self.beta1
@@ -226,16 +233,6 @@ def gen_response(x, params, rng_seed):
     return params.beta0 + xb + eps
 
 
-def _seed(x_scaled, name, k, rng_seed):
-    if name == "uniform":
-        return seeding.uniform_seed(x_scaled, k, rng_seed)
-    if name == "iboss":
-        return seeding.iboss_seed(x_scaled, k)
-    if name == "oss":
-        return seeding.oss_seed(x_scaled, k)
-    raise ValueError(f"unknown method {name!r}")
-
-
 def _cached(cache, key, build):
     """(value, seconds to build it); built once per cache."""
     if key not in cache:
@@ -245,59 +242,61 @@ def _cached(cache, key, build):
     return cache[key]
 
 
-def select(x_scaled, method, k, K, iterations=5, rng_seed=0,
-           seed_method="oss", cache=None):
+def select(x_scaled, cfg, method, rep=0, cache=None):
     """One selection; returns (Selection, ExchangeTrace or None, stages).
 
-    alg1/valg1 exchange against the candidate pool of a `seed_method`
-    seed.  `stages` holds the seconds of each stage: `seed_s`, and for
-    an exchange `pool_s` and `exchange_s`; their sum is the selection's
-    time, matching how the exchange is deployed.  `cache`, a dict kept
-    for one dataset and one (k, K, rng_seed), builds each seed and the
-    pool once across calls; a cached stage counts the seconds it took to
-    build.  Callers check the arguments: `ExperimentConfig.validate`, or
-    `timing_study`'s own checks.
+    alg1/valg1 exchange against the candidate pool of a `cfg.seed_method`
+    seed; a uniform seed draws from repetition `rep`'s seed.  `stages`
+    holds the seconds of each stage: `seed_s`, and for an exchange
+    `pool_s` and `exchange_s`; their sum is the selection's time, matching
+    how the exchange is deployed.  `cache`, a dict kept for one dataset
+    and one (cfg, rep), builds each seed and the pool once across calls; a
+    cached stage counts the seconds it took to build.  `cfg.validate()` is
+    the only check of the arguments.
     """
     exchanging = method in EXCHANGE_METHODS
     cache = {} if cache is None else cache
-    name = seed_method if exchanging else method
+    name = cfg.seed_method if exchanging else method
+    build = getattr(seeding, f"{name}_seed")   # looked up per call
+    extra = (cfg.seeds[rep],) if name == "uniform" else ()
     seed, seed_s = _cached(cache, name,
-                           lambda: _seed(x_scaled, name, k, rng_seed))
+                           lambda: build(x_scaled, cfg.k, *extra))
     if not exchanging:
         return seed, None, {"seed_s": seed_s}
     pool, pool_s = _cached(
-        cache, "pool", lambda: exchange.candidate_pool(x_scaled, seed, K))
+        cache, "pool", lambda: exchange.candidate_pool(x_scaled, seed, cfg.K))
     t0 = time.perf_counter()
     if method == "alg1":
-        sel, trace = exchange.alg1(x_scaled, seed, K, iterations, pool=pool)
+        sel, trace = exchange.alg1(x_scaled, seed, cfg.K, cfg.alg1_iterations,
+                                   pool=pool)
     else:
-        sel, trace = exchange.valg1(x_scaled, seed, K, pool=pool)
+        sel, trace = exchange.valg1(x_scaled, seed, cfg.K, pool=pool)
     return sel, trace, {"seed_s": seed_s, "pool_s": pool_s,
                         "exchange_s": time.perf_counter() - t0}
 
 
-def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
-    """Every method of cfg on one dataset: select, OLS fit, score.
+def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
+    """Every method of cfg on repetition rep's data: select, fit, score.
 
     The methods share one cache, so each seed and the pool are built once.
     """
+    seed = cfg.seeds[rep]
     try:
         x_scaled, _ = seeding.scale_to_unit_cube(x)
     except seeding.ColumnRangeError as exc:
-        return [RunRecord(m, rep, rep_seed, None, None, error=str(exc))
+        return [RunRecord(m, rep, seed, None, None, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}
     y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
         try:
-            sel = select(x_scaled, method, cfg.k, cfg.K, cfg.alg1_iterations,
-                         rep_seed, cfg.seed_method, cache)[0]
+            sel = select(x_scaled, cfg, method, rep, cache)[0]
             _, slopes = ols_fit(x, y, sel)
             b0 = adjusted_intercept(y_bar, x_bar, slopes)
             msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
             eff = metrics.efficiency(x_scaled, sel)
         except (SingularMomentError, np.linalg.LinAlgError) as exc:
-            records.append(RunRecord(method, rep, rep_seed, None, None,
+            records.append(RunRecord(method, rep, seed, None, None,
                                      error=str(exc)))
             continue
         n_out = 0
@@ -305,28 +304,35 @@ def _run_one(x, y, cfg, rep, rep_seed, beta_ref, keep_selections=False):
             n_out = int(np.count_nonzero(
                 sel.indices >= cfg.n - cfg.outliers.count))
         records.append(RunRecord(
-            method, rep, rep_seed, msr, eff,
+            method, rep, seed, msr, eff,
             sel.indices.copy() if keep_selections else None, n_out))
     return records
+
+
+def _repeat(cfg, draw, beta_ref, keep_selections=False):
+    """The repetition loop of simulate and bootstrap: repetition rep runs
+    `_run_one` on the (x, y) of `draw(cfg.seeds[rep])`."""
+    report = ExperimentReport(cfg)
+    for rep, seed in enumerate(cfg.seeds):
+        x, y = draw(seed)
+        report.records += _run_one(x, y, cfg, rep, beta_ref, keep_selections)
+    return report
 
 
 def run_experiment(config, keep_selections=False):
     """Simulation protocol: generate, select, fit, score, repeat."""
     cfg = config.validate()
     params = cfg.model_params()
-    report = ExperimentReport(cfg)
-    for rep in range(cfg.repetitions):
-        rep_seed = cfg.rng_seed + rep
+
+    def draw(seed):
         if cfg.outliers is not None:
             x = gen_outlier_scenario(cfg.n, cfg.p, cfg.outliers.count,
-                                     cfg.outliers.mean_shift, cfg.rho,
-                                     rep_seed)
+                                     cfg.outliers.mean_shift, cfg.rho, seed)
         else:
-            x = gen_mvn_equicorr(cfg.n, cfg.p, cfg.rho, rep_seed)
-        y = gen_response(x, params, rep_seed + 10 ** 9)
-        report.records += _run_one(x, y, cfg, rep, rep_seed, params.beta,
-                                   keep_selections)
-    return report
+            x = gen_mvn_equicorr(cfg.n, cfg.p, cfg.rho, seed)
+        return x, gen_response(x, params, seed + 10 ** 9)
+
+    return _repeat(cfg, draw, params.beta, keep_selections)
 
 
 def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
@@ -348,13 +354,12 @@ def bootstrap_mse(x, y, B: int, method: str, k: int, K: int,
                            methods=(method,), rng_seed=rng_seed,
                            seed_method=seed_method).validate()
     beta_ref, _ = ols_fit(x, y, np.arange(n))
-    report = ExperimentReport(cfg)
-    for b in range(B):
-        rep_seed = rng_seed + b
-        rows = np.random.default_rng(rep_seed).integers(0, n, size=n)
-        report.records += _run_one(x[rows], y[rows], cfg, b, rep_seed,
-                                   beta_ref)
-    return report
+
+    def draw(seed):
+        rows = np.random.default_rng(seed).integers(0, n, size=n)
+        return x[rows], y[rows]
+
+    return _repeat(cfg, draw, beta_ref)
 
 
 @dataclass
@@ -379,34 +384,26 @@ def timing_study(ks: list[int], Ks: list[int], iteration_counts: list[int],
     """
     if not (ks and Ks and iteration_counts):
         raise ConfigError("timing grid must be nonempty lists")
-    if min(*ks, *Ks, *iteration_counts, n, p, repetitions) < 1 or \
-            max(ks) >= n:
-        raise ConfigError("ks, Ks, iteration_counts, n, p and repetitions "
-                          "must be >= 1, and each k below n")
-    if rng_seed < 0 or seed_method not in SEED_METHODS:
-        raise ConfigError(f"need rng_seed >= 0 and seed_method in "
-                          f"{SEED_METHODS}, got {rng_seed}, {seed_method!r}")
-    datasets = []
-    for rep in range(repetitions):
-        x = gen_mvn_equicorr(n, p, rho, rng_seed + rep)
-        datasets.append(seeding.scale_to_unit_cube(x)[0])
+    if min(*ks, *Ks, *iteration_counts) < 1:
+        raise ConfigError("ks, Ks and iteration_counts must be >= 1")
+    # validate also rejects each k >= n: k = n leaves alg1 no pool rows
+    cfgs = [ExperimentConfig(n, p, k, K, rho, repetitions,
+                             alg1_iterations=max(iteration_counts),
+                             methods=("alg1",), rng_seed=rng_seed,
+                             seed_method=seed_method).validate()
+            for k in ks for K in Ks]
+    datasets = [seeding.scale_to_unit_cube(
+        gen_mvn_equicorr(n, p, rho, seed))[0] for seed in cfgs[0].seeds]
     cells = []
-    for k in ks:
-        for K in Ks:
-            # a row per iteration count: each cell's mean then sums a
-            # contiguous vector, in the same order as a 1-d array of reps
-            secs = np.empty((len(iteration_counts), repetitions))
-            gains = np.empty_like(secs)
-            for rep, xs in enumerate(datasets):
-                _, trace, stages = select(xs, "alg1", k, K,
-                                          max(iteration_counts),
-                                          rng_seed + rep, seed_method)
-                for j, m in enumerate(iteration_counts):
-                    secs[j, rep] = stages["pool_s"] + \
-                        trace.pass_seconds[m - 1]
-                    gains[j, rep] = 100.0 * math.expm1(
-                        trace.pass_log_v[m - 1] - trace.initial_log_v)
-            cells += [TimingCell(k, K, m, float(secs[j].mean()),
-                                 float(gains[j].mean()))
-                      for j, m in enumerate(iteration_counts)]
+    for cfg in cfgs:
+        runs = [select(xs, cfg, "alg1", rep)[1:]
+                for rep, xs in enumerate(datasets)]
+        for m in iteration_counts:
+            secs = [stages["pool_s"] + trace.pass_seconds[m - 1]
+                    for trace, stages in runs]
+            gains = [100.0 * math.expm1(trace.pass_log_v[m - 1]
+                                        - trace.initial_log_v)
+                     for trace, _ in runs]
+            cells.append(TimingCell(cfg.k, cfg.K, m, float(np.mean(secs)),
+                                    float(np.mean(gains))))
     return cells

@@ -1033,6 +1033,13 @@ def run_config(command, cfg, workdir):
     ("bootstrap", {"input": {"path": "data.csv", "response": "resp",
                              "covariates": []}}, "no covariate column"),
     ("simulate", {"sigma2": -1}, "sigma2 must be >= 0"),
+    ("simulate", {"methods": ["oss", "oss", "alg1"]},
+     "method 'oss' is listed more than once"),
+    ("timing", {"p": 0}, "p must be >= 1, got 0"),
+    ("timing", {"repetitions": 0}, "repetitions must be >= 1, got 0"),
+    ("timing", {"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
+    ("timing", {"ks": [8, 120]},
+     "k = n = 120 leaves no rows for the exchange pool"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -1045,7 +1052,8 @@ def run_config(command, cfg, workdir):
         "bootstrap-log-columns-null", "bootstrap-delimiter-empty",
         "bootstrap-covariates-string", "bootstrap-covariate-repeated",
         "bootstrap-B0", "bootstrap-no-covariates",
-        "simulate-sigma2-negative"])
+        "simulate-sigma2-negative", "simulate-method-repeated", "timing-p0",
+        "timing-repetitions0", "timing-seed-negative", "timing-k-equals-n"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},

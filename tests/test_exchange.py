@@ -56,6 +56,24 @@ class TestCandidatePool:
         assert list(pool.indices) == [1, 3, 4, 2]
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda x: exchange.alg1(x, seeding.Selection([0, 1]), 2, iterations=0),
+     r"^iterations must be >= 1$"),
+    (lambda x: exchange.alg1(x, seeding.Selection([0, 0]), 2),
+     r"^selection must be non-empty, with rows distinct"),
+    (lambda x: exchange.valg1(x, seeding.Selection([0, 1]), 2,
+                              pool=seeding.Selection([1, 2])),
+     r"^selection must be non-empty, with rows distinct"),
+    (lambda x: exchange.candidate_pool(x, seeding.Selection(range(5)), 2),
+     r"^no unselected rows left to build a pool from$"),
+], ids=["alg1-iterations0", "seed-repeats-a-row", "seed-overlaps-pool",
+        "pool-every-row-selected"])
+def test_bad_arguments_rejected(call, match):
+    x = np.arange(10.0).reshape(5, 2) ** 2
+    with pytest.raises(ValueError, match=match):
+        call(x)
+
+
 def scores(zs, zf, z_out):
     """The exchange's swap scores of z_out against the pool rows `zf`,
     with M and c refactored from the selected augmented rows `zs`."""

@@ -113,6 +113,16 @@ class TestMse:
             metrics.mse([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: metrics.efficiency(np.ones((3, 2)), []),
+     r"^selection must contain at least one row$"),
+    (lambda: metrics.hull_2d(np.empty((0, 2))), r"^need at least one point$"),
+], ids=["efficiency-empty-selection", "hull-no-points"])
+def test_empty_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestHull2d:
     def test_unit_square(self):
         pts = [(1, 1), (1, -1), (-1, 1), (-1, -1)]

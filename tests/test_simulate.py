@@ -259,6 +259,28 @@ class TestRunExperiment:
         cfg = self.small_config(k=400, methods=simulate.SEED_METHODS)
         assert cfg.validate() is cfg
 
+    def test_one_repetition_builds_each_stage_once(self, monkeypatch):
+        # the methods share one cache, and each stage is looked up on its
+        # module per call, where a benchmark trace wraps it
+        calls = {}
+        for module, name in ((seeding, "uniform_seed"),
+                             (seeding, "iboss_seed"), (seeding, "oss_seed"),
+                             (exchange, "candidate_pool"),
+                             (exchange, "alg1"), (exchange, "valg1")):
+            def counted(*args, _fn=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        report = simulate.run_experiment(self.small_config(
+            repetitions=1, methods=simulate.METHODS))
+        assert [r.method for r in report.records if not r.error] == \
+            list(simulate.METHODS)
+        assert calls == dict.fromkeys(
+            ["uniform_seed", "iboss_seed", "oss_seed", "candidate_pool",
+             "alg1", "valg1"], 1)
+
     def test_aggregates_shape(self):
         report = simulate.run_experiment(self.small_config())
         agg = report.aggregates()
