@@ -390,9 +390,6 @@ def replay(manifest_path, out):
     """
     manifest = _load_json(manifest_path)
     argv = manifest.get("argv")
-    if argv is None:
-        raise ConfigError(f"{manifest_path} records no argv; it was written "
-                          f"by an older subdopt, so re-run its command")
     if not (isinstance(argv, list) and argv
             and all(isinstance(a, str) for a in argv)
             and argv[0] in _COMMANDS):

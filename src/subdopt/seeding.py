@@ -32,12 +32,9 @@ class Selection:
 BLOCK = 64
 
 #: Rows per pass of the loops that keep their working set in cache: the
-#: sweep of `_block_extremes`, the scaling of a row-major array, and the
-#: OSS set-up and loss updates
+#: sweep of `_block_extremes` and the OSS set-up and loss updates.  When
+#: a row-major array is scaled it counts values, not rows
 ROWS = 4096
-
-#: Rows per tile of the column ranges when a row-major array is scaled
-TILE = 256
 
 
 def _block_extremes(x):
@@ -83,30 +80,26 @@ def scale_to_unit_cube(x):
     hi = np.concatenate((hi, tail)).max(axis=0)
     with np.errstate(over="ignore"):
         span = hi - lo
+        # x - lo <= span, so a finite 2 span keeps every scaled value finite
+        wide = np.isinf(2.0 * span)
     for bad, what in ((np.isnan(lo) | np.isnan(hi), "column(s) with NaN"),
                       (hi <= lo, "constant column(s)"),
-                      (np.isinf(span), "column(s) whose range overflows")):
+                      (wide, "column(s) whose range overflows")):
         if bad.any():
             raise ColumnRangeError(f"{what}: {np.flatnonzero(bad).tolist()}")
     scaled = np.empty_like(x)
     if x.flags.c_contiguous:
         # broadcasting lo over the rows would run n inner loops of p.  So
-        # TILE rows are flattened into one row of a view, and lo and span,
-        # tiled TILE times, run along it: ROWS rows a call, in loops of
-        # TILE * p; the rows after the last whole TILE read the tiles'
-        # start
-        n, p = x.shape
-        t = min(n, TILE)
-        tlo, tspan = np.tile(lo, t), np.tile(span, t)
-        whole = n - n % t
-        rows = x[:whole].reshape(-1, t * p)
-        out = scaled[:whole].reshape(-1, t * p)
-        step = ROWS // t
-        for a in range(0, len(rows), step):
-            _to_cube(rows[a:a + step], tlo, tspan, out[a:a + step])
-        rest = (n - whole) * p
-        _to_cube(x[whole:].reshape(-1), tlo[:rest], tspan[:rest],
-                 scaled[whole:].reshape(-1))
+        # one loop runs over the flattened values, whole rows and about
+        # ROWS values a call, against lo and span tiled once for that many
+        # rows; the last call reads a prefix of the tiles
+        p = x.shape[1]
+        step = max(ROWS // p, 1) * p
+        tlo, tspan = np.tile(lo, step // p), np.tile(span, step // p)
+        flat, out = x.reshape(-1), scaled.reshape(-1)
+        for a in range(0, flat.size, step):
+            m = min(step, flat.size - a)
+            _to_cube(flat[a:a + m], tlo[:m], tspan[:m], out[a:a + m])
     else:
         # column-major, as `ingest` returns it: the loops run down columns
         _to_cube(x, lo, span, scaled)

@@ -75,6 +75,11 @@ class ExperimentConfig:
                           ("outliers.mean_shift", shift)):
             if vec is not None and np.shape(vec) != (self.p,):
                 raise ConfigError(f"{name} must have p={self.p} entries")
+        for name, value in (("beta0", self.beta0), ("beta1", self.beta1),
+                            ("sigma2", self.sigma2),
+                            ("outliers.mean_shift", shift)):
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"k must be in [1, n={self.n}], got {self.k}")
         for name in ("p", "K", "repetitions", "alg1_iterations"):
@@ -265,20 +270,21 @@ def select(x_scaled, cfg, method, rep=0, cache=None):
         return seed, None, {"seed_s": seed_s}
     pool, pool_s = _cached(
         cache, "pool", lambda: exchange.candidate_pool(x_scaled, seed, cfg.K))
-    t0 = time.perf_counter()
     if method == "alg1":
         sel, trace = exchange.alg1(x_scaled, seed, cfg.K, cfg.alg1_iterations,
                                    pool=pool)
     else:
         sel, trace = exchange.valg1(x_scaled, seed, cfg.K, pool=pool)
     return sel, trace, {"seed_s": seed_s, "pool_s": pool_s,
-                        "exchange_s": time.perf_counter() - t0}
+                        "exchange_s": trace.pass_seconds[-1]}
 
 
 def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
     """Every method of cfg on repetition rep's data: select, fit, score.
 
     The methods share one cache, so each seed and the pool are built once.
+    A fit whose squared error is not finite fails: an overflow in the fit
+    ends there.
     """
     seed = cfg.seeds[rep]
     try:
@@ -291,9 +297,12 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
     for method in cfg.methods:
         try:
             sel = select(x_scaled, cfg, method, rep, cache)[0]
-            _, slopes = ols_fit(x, y, sel)
-            b0 = adjusted_intercept(y_bar, x_bar, slopes)
-            msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, slopes = ols_fit(x, y, sel)
+                b0 = adjusted_intercept(y_bar, x_bar, slopes)
+                msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
+            if not np.isfinite([msr.mse_intercept, msr.mse_slopes]).all():
+                raise SingularMomentError("the squared error overflows")
             eff = metrics.efficiency(x_scaled, sel)
         except (SingularMomentError, np.linalg.LinAlgError) as exc:
             records.append(RunRecord(method, rep, seed, None, None,

@@ -780,16 +780,21 @@ class TestSelectCommand:
         assert capsys.readouterr().err == \
             "error: no covariate column; available: ['y']\n"
 
-    @pytest.mark.parametrize("seed_method", ["oss", "iboss"])
+    @pytest.mark.parametrize("method, seed_method, ends", [
+        *[pytest.param("alg1", s, (1.7e308, -1.7e308), id=s)
+          for s in ("oss", "iboss")],
+        *[pytest.param(m, "oss", (1.5e308, -1e307), id=f"half-range-{m}")
+          for m in ("uniform", "iboss", "oss", "alg1", "valg1")]])
     def test_overflowing_range_is_input_error(self, tmp_path, capsys,
-                                              seed_method):
-        # every cell is finite, but hi - lo of column 0 is not
+                                              method, seed_method, ends):
+        # every cell is finite, but hi - lo of column 0 is not; with the
+        # half-range ends hi - lo is, and 2(hi - lo) is not
         x = np.random.default_rng(3).standard_normal((300, 3))
-        x[7, 0], x[200, 0] = 1.7e308, -1.7e308
+        x[7, 0], x[200, 0] = ends
         path = tmp_path / "big.csv"
         np.savetxt(path, x, fmt="%.17g", delimiter=",", header="a,b,c",
                    comments="")
-        rc = cli.main(["select", "--input", str(path), "--method", "alg1",
+        rc = cli.main(["select", "--input", str(path), "--method", method,
                        "--seed-method", seed_method, "--k", "12",
                        "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_INGEST
@@ -911,6 +916,29 @@ class TestSimulateCommand:
             ["uniform  (all repetitions failed)",
              "valg1    (all repetitions failed)"]
 
+    @pytest.mark.parametrize("change, error", [
+        # the shifted row puts 2(hi - lo) of column 0 past the largest double
+        ({"p": 3, "outliers": {"count": 1, "mean_shift": [1e308, 0.0, 0.0]}},
+         "column(s) whose range overflows: [0]"),
+        # with y near 1e200 the squared errors overflow
+        ({"beta0": 1e200}, "the squared error overflows"),
+    ], ids=["outlier-range", "fit"])
+    def test_overflow_fails_each_record(self, tmp_path, capsys, change,
+                                        error):
+        # each repetition is a failed record, and the report stays strict
+        # JSON
+        def reject(name):
+            raise ValueError(f"report.json holds {name}")
+        out = tmp_path / "sim"
+        rc = cli.main(["simulate", "--config",
+                       str(self.config(tmp_path, **change)),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert [r["error"] for r in report["records"]] == [error] * 4
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_replay_identical(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         cli.main(["simulate", "--config", str(self.config(tmp_path)),
@@ -979,9 +1007,10 @@ BASE_CONFIGS = {
 
 
 def run_config(command, cfg, workdir):
-    """`subdopt <command>` on `cfg` with data.csv in workdir: (rc, stderr)."""
+    """`subdopt <command>` on `cfg` with data.csv in workdir: (rc, stderr).
+    An infinite number is written as 1e999, which JSON parses to it."""
     path = workdir / "cfg.json"
-    path.write_text(json.dumps(cfg).replace(
+    path.write_text(json.dumps(cfg).replace("Infinity", "1e999").replace(
         '"data.csv"', json.dumps(str(workdir / "data.csv"))))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -1040,6 +1069,11 @@ def run_config(command, cfg, workdir):
     ("timing", {"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
     ("timing", {"ks": [8, 120]},
      "k = n = 120 leaves no rows for the exchange pool"),
+    ("simulate", {"sigma2": np.inf}, "sigma2 must be finite"),
+    ("simulate", {"beta0": -np.inf}, "beta0 must be finite"),
+    ("simulate", {"beta1": [np.inf, 1.0]}, "beta1 must be finite"),
+    ("simulate", {"outliers": {"count": 1, "mean_shift": [np.inf, 0.0]}},
+     "outliers.mean_shift must be finite"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -1053,7 +1087,9 @@ def run_config(command, cfg, workdir):
         "bootstrap-covariates-string", "bootstrap-covariate-repeated",
         "bootstrap-B0", "bootstrap-no-covariates",
         "simulate-sigma2-negative", "simulate-method-repeated", "timing-p0",
-        "timing-repetitions0", "timing-seed-negative", "timing-k-equals-n"])
+        "timing-repetitions0", "timing-seed-negative", "timing-k-equals-n",
+        "simulate-sigma2-inf", "simulate-beta0-inf", "simulate-beta1-inf",
+        "simulate-mean-shift-inf"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},

@@ -26,9 +26,10 @@ class TestScaling:
         # the first and the last of the rows after the last whole block
         tail = rng.standard_normal((50 * seeding.BLOCK + 37, 3))
         tail[50 * seeding.BLOCK, 0], tail[-1, 1] = -9.0, 9.0
-        # a row-major array is scaled ROWS rows at a time, in tiles of
-        # TILE rows: n at and around the edges of those blocks, in both
-        # layouts; n = 3 ROWS + 37 ends in a part tile
+        # a row-major array is scaled ROWS // p whole rows, about ROWS
+        # values, at a time: at p = 3, n = ROWS - 1 is three whole steps,
+        # and n = ROWS, ROWS + 1 and 3 ROWS + 37 end in a short step; both
+        # layouts
         rows = seeding.ROWS
         edges = [np.asarray(rng.standard_normal((n, 3)) * 5 - 2, order=o)
                  for n in (rows - 1, rows, rows + 1, 3 * rows + 37)
@@ -60,13 +61,15 @@ class TestScaling:
             seeding.scale_to_unit_cube(np.asarray(x, order=order))
 
     def test_overflowing_range_rejected(self):
-        # every value is finite, but hi - lo of column 1 is not
-        x = np.column_stack([np.arange(5.0),
-                             [1.7e308, 0.0, -1.7e308, 1.0, 2.0]])
-        with pytest.raises(seeding.ColumnRangeError,
-                           match=r"^column\(s\) whose range overflows: "
-                                 r"\[1\]$"):
-            seeding.scale_to_unit_cube(x)
+        # every value is finite, but hi - lo of column 1 is not; in the
+        # half-range column hi - lo is, and 2(hi - lo) is not
+        for big in ([1.7e308, 0.0, -1.7e308, 1.0, 2.0],
+                    [1.5e308, 0.0, -1e307, 1.0, 2.0]):
+            x = np.column_stack([np.arange(5.0), big])
+            with pytest.raises(seeding.ColumnRangeError,
+                               match=r"^column\(s\) whose range overflows: "
+                                     r"\[1\]$"):
+                seeding.scale_to_unit_cube(x)
 
 
 class TestUniformSeed:

@@ -281,6 +281,16 @@ class TestRunExperiment:
             ["uniform_seed", "iboss_seed", "oss_seed", "candidate_pool",
              "alg1", "valg1"], 1)
 
+    def test_exchange_time_is_the_trace_clock(self):
+        # exchange_s is the end of the trace's last pass, on its own clock
+        cfg = self.small_config(methods=simulate.EXCHANGE_METHODS).validate()
+        xs, _ = seeding.scale_to_unit_cube(
+            simulate.gen_mvn_equicorr(cfg.n, cfg.p, cfg.rho, cfg.rng_seed))
+        cache = {}
+        for method in simulate.EXCHANGE_METHODS:
+            _, trace, stages = simulate.select(xs, cfg, method, cache=cache)
+            assert stages["exchange_s"] == trace.pass_seconds[-1]
+
     def test_aggregates_shape(self):
         report = simulate.run_experiment(self.small_config())
         agg = report.aggregates()
