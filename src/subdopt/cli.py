@@ -194,7 +194,11 @@ def _load(value, hint, name):
             return tuple(items) if base is tuple else items
         if isinstance(value, (int, float) if base is float else base) \
                 and (base is bool or not isinstance(value, bool)):
-            return value
+            try:   # a JSON integer can be beyond the double range
+                return float(value) if base is float else value
+            except OverflowError:
+                raise ConfigError(f"config field {name} is beyond the "
+                                  f"double range") from None
     wanted = [_JSON.get(typing.get_origin(k) or k, "an object") for k in kinds]
     raise ConfigError(f"config field {name} must be {' or '.join(wanted)}, "
                       f"got {value!r}")

@@ -294,7 +294,9 @@ def oss_seed(x, k):
     used here.  Losses are only updated for live rows, which is where
     the O(np log k) cost stated by the OSS paper comes from.  Ties in the
     loss, both at the elimination boundary and for the next pick, go to
-    the lower row index.
+    the lower row index.  Each elimination compacts |x|^2, the sign codes
+    and the loss to the rows kept, so loss updates read contiguous rows; a
+    pick is held there at loss +inf.  A NaN in x raises ValueError.
 
     Cost: one O(np) pass, ROWS rows at a time, computes |x|^2 and packs
     each row's signs into ceil(p / 64) words per sign, each word the
@@ -308,33 +310,31 @@ def oss_seed(x, k):
     n, p = x.shape
     _check_k(k, n)
     norms2, pos, neg = _codes(x)
+    if np.isnan(norms2.max()):
+        raise ValueError("x holds a NaN")
     chosen = np.empty(k, dtype=np.intp)
-    chosen[0] = int(np.argmax(norms2))
-    # Until the first elimination every row but the picks is live, so
-    # `ids` is None, the loss covers all n rows with the picks held at
-    # +inf, and norms2, pos and neg are read in place.  After it `ids`
-    # lists the live rows in ascending order.  Either way argmin ties go
-    # to the lower row.
-    ids = None
+    j = chosen[0] = int(np.argmax(norms2))   # the last pick's position
+    ids = None   # the row at each position, once an elimination cuts rows
+
+    def row(at):
+        return at if ids is None else ids[at]
     loss = np.zeros(n)
     r = math.log(n) / math.log(k) if k > 1 else 1.0   # k = 1: no loop
     for i in range(1, k):
-        s = chosen[i - 1]
-        signs, h = (pos[s], neg[s]), norms2[s] / 2.0
+        signs, h = (pos[j], neg[j]), norms2[j] / 2.0
         for a in range(0, loss.size, ROWS):
-            rows = slice(a, a + ROWS) if ids is None else ids[a:a + ROWS]
-            _add_loss(loss[a:a + ROWS], pos[rows], neg[rows], norms2[rows],
+            rows = slice(a, a + ROWS)
+            _add_loss(loss[rows], pos[rows], neg[rows], norms2[rows],
                       signs, h, p)
-        if ids is None:
-            loss[chosen[:i]] = np.inf
+        loss[j] = np.inf
         keep = max(math.floor(n / i ** (r - 1.0)), k - i)
-        if keep < (n - i if ids is None else ids.size):
+        if keep < loss.size:   # one array at a time keeps the peak down
             live = _smallest(loss, keep)
-            ids, loss = live if ids is None else ids[live], loss[live]
+            loss = loss[live]
+            norms2 = norms2[live]
+            pos = pos[live]
+            neg = neg[live]
+            ids = row(live)
         j = int(np.argmin(loss))
-        if ids is None:
-            chosen[i] = j
-        else:
-            chosen[i] = ids[j]
-            ids, loss = np.delete(ids, j), np.delete(loss, j)
+        chosen[i] = row(j)
     return Selection(chosen)

@@ -35,8 +35,6 @@ class ModelParams:
 
     def __post_init__(self):
         self.beta1 = np.asarray(self.beta1, dtype=float)
-        if self.sigma2 < 0:
-            raise ConfigError("sigma2 must be >= 0")
 
     @property
     def beta(self):
@@ -80,6 +78,8 @@ class ExperimentConfig:
                             ("outliers.mean_shift", shift)):
             if value is not None and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite")
+        if self.sigma2 < 0:
+            raise ConfigError("sigma2 must be >= 0")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"k must be in [1, n={self.n}], got {self.k}")
         for name in ("p", "K", "repetitions", "alg1_iterations"):
@@ -233,9 +233,12 @@ def gen_response(x, params, rng_seed):
     rng = np.random.default_rng(rng_seed)
     eps = rng.standard_normal(x.shape[0]) * math.sqrt(params.sigma2)
     xb = np.empty(x.shape[0])
-    for a in range(0, x.shape[0], GEN_ROWS):
-        np.matmul(x[a:a + GEN_ROWS], params.beta1, out=xb[a:a + GEN_ROWS])
-    return params.beta0 + xb + eps
+    # a model near the largest double overflows here; its fit then fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, x.shape[0], GEN_ROWS):
+            np.matmul(x[a:a + GEN_ROWS], params.beta1,
+                      out=xb[a:a + GEN_ROWS])
+        return params.beta0 + xb + eps
 
 
 def _cached(cache, key, build):
@@ -283,8 +286,8 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
     """Every method of cfg on repetition rep's data: select, fit, score.
 
     The methods share one cache, so each seed and the pool are built once.
-    A fit whose squared error is not finite fails: an overflow in the fit
-    ends there.
+    A fit whose squared error is not finite fails: an overflow in the data
+    or the fit ends there.
     """
     seed = cfg.seeds[rep]
     try:
@@ -293,7 +296,8 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
         return [RunRecord(m, rep, seed, None, None, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}
-    y_bar, x_bar = y.mean(), x.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
         try:
             sel = select(x_scaled, cfg, method, rep, cache)[0]

@@ -922,7 +922,13 @@ class TestSimulateCommand:
          "column(s) whose range overflows: [0]"),
         # with y near 1e200 the squared errors overflow
         ({"beta0": 1e200}, "the squared error overflows"),
-    ], ids=["outlier-range", "fit"])
+        # x beta1 overflows while y is drawn, and the mean of the shifted
+        # column while the fit is set up: neither may warn
+        ({"beta1": [1.7e308, -1.7e308]},
+         "selection is singular or its moments overflow"),
+        ({"outliers": {"count": 5, "mean_shift": [8e307, 0.0]}},
+         "selection is singular or its moments overflow"),
+    ], ids=["outlier-range", "fit", "response", "column-mean"])
     def test_overflow_fails_each_record(self, tmp_path, capsys, change,
                                         error):
         # each repetition is a failed record, and the report stays strict
@@ -1074,6 +1080,10 @@ def run_config(command, cfg, workdir):
     ("simulate", {"beta1": [np.inf, 1.0]}, "beta1 must be finite"),
     ("simulate", {"outliers": {"count": 1, "mean_shift": [np.inf, 0.0]}},
      "outliers.mean_shift must be finite"),
+    ("simulate", {"beta0": 10 ** 400},
+     "config field beta0 is beyond the double range"),
+    ("simulate", {"outliers": {"count": 5, "mean_shift": [10 ** 400, 0.0]}},
+     "config field outliers.mean_shift[0] is beyond the double range"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -1089,7 +1099,8 @@ def run_config(command, cfg, workdir):
         "simulate-sigma2-negative", "simulate-method-repeated", "timing-p0",
         "timing-repetitions0", "timing-seed-negative", "timing-k-equals-n",
         "simulate-sigma2-inf", "simulate-beta0-inf", "simulate-beta1-inf",
-        "simulate-mean-shift-inf"])
+        "simulate-mean-shift-inf", "simulate-beta0-huge-int",
+        "simulate-mean-shift-huge-int"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},

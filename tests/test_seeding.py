@@ -521,16 +521,24 @@ def test_oss_memory_per_row():
     # the loss and |x|^2 take 8 bytes a row each, the two sign codes 2
     # each at p = 10, and the first elimination partitions a copy of the
     # loss: 28 bytes a row.  The set-up and the loss updates go a block of
-    # rows at a time
-    n = 200_000
-    x = np.random.default_rng(32).uniform(-1, 1, (n, 10))
-    tracemalloc.start()
-    try:
-        seeding.oss_seed(x, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * n
+    # rows at a time, and the eliminations compact one array at a time
+    for n, k in ((200_000, 100), (10_000, 100), (100_000, 1000)):
+        x = np.random.default_rng(32).uniform(-1, 1, (n, 10))
+        tracemalloc.start()
+        try:
+            seeding.oss_seed(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n, (n, k, peak / n)
+
+
+@pytest.mark.parametrize("n, k", [(500, 20), (50, 2)])
+def test_oss_rejects_nan(n, k):
+    x = np.random.default_rng(33).uniform(-1, 1, (n, 4))
+    x[n // 2, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        seeding.oss_seed(x, k)
 
 
 @st.composite

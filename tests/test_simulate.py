@@ -248,6 +248,8 @@ class TestRunExperiment:
             self.small_config(methods=()).validate()
         with pytest.raises(ConfigError):
             self.small_config(methods=("magic",)).validate()
+        with pytest.raises(ConfigError, match=r"^sigma2 must be >= 0$"):
+            self.small_config(sigma2=-1.0).validate()
         # an exchange needs a pool row outside the selection
         for methods in (("alg1",), ("uniform", "valg1")):
             with pytest.raises(ConfigError, match=r"^k = n = 400 leaves no "
