@@ -194,11 +194,13 @@ def _load(value, hint, name):
             return tuple(items) if base is tuple else items
         if isinstance(value, (int, float) if base is float else base) \
                 and (base is bool or not isinstance(value, bool)):
-            try:   # a JSON integer can be beyond the double range
-                return float(value) if base is float else value
+            try:   # a JSON integer can be beyond the double or int64 range
+                return float(value) if base is float else \
+                    int(np.int64(value)) if base is int else value
             except OverflowError:
                 raise ConfigError(f"config field {name} is beyond the "
-                                  f"double range") from None
+                                  f"{'double' if base is float else 'int64'}"
+                                  f" range") from None
     wanted = [_JSON.get(typing.get_origin(k) or k, "an object") for k in kinds]
     raise ConfigError(f"config field {name} must be {' or '.join(wanted)}, "
                       f"got {value!r}")
@@ -484,6 +486,9 @@ def main(argv=None):
                     if "config" in args else None)
     except (IngestError, ConfigError, seeding.ColumnRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INGEST
+    except MemoryError as exc:   # numpy names the array it could not make
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except (SingularMomentError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -13,11 +13,35 @@ coverage to full-data coverage for a covariate pair.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+
+
+def _scipy_linalg(name, *routines):
+    """`routines` of the extension file scipy/linalg/<name>, loaded without
+    scipy.linalg's `__init__`, about half of every command's start-up."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    base = Path(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base / (name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                f"scipy.linalg.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return [getattr(module, routine) for routine in routines]
+    raise ImportError(f"scipy has no extension file {base / name}.*")
+
+
+dtrsm, = _scipy_linalg("_fblas", "dtrsm")
+dpotrf, dpotrs = _scipy_linalg("_flapack", "dpotrf", "dpotrs")
 
 
 class SingularMomentError(Exception):
@@ -85,9 +109,9 @@ def efficiency(x, sel):
     p1 = chol.shape[0]
     d_eff = math.exp(log_det / p1) / k
     # trace(Q^{-1}) via a triangular solve; equals the eigenvalue sum.
-    # BLAS dtrsm gives the bits of scipy's solve_triangular, which took
-    # milliseconds, not microseconds, in some processes with default
-    # BLAS threads.
+    # scipy's BLAS dtrsm, called directly, gives the bits of its
+    # solve_triangular, which took milliseconds, not microseconds, in
+    # some processes with default BLAS threads.
     w = dtrsm(1.0, chol, np.eye(p1), lower=1)
     a_eff = p1 / (k * float(np.sum(w * w)))
     xc = xs - xs.mean(axis=0)

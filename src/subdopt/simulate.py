@@ -12,10 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import exchange, metrics, seeding
-from .metrics import SingularMomentError, as_indices, augment
+from .metrics import SingularMomentError, as_indices, augment, dpotrf, dpotrs
 
 
 class ConfigError(ValueError):
@@ -166,9 +165,10 @@ def ols_fit(x, y, sel):
     """Least-squares fit on the selected rows via the normal equations.
 
     Returns (full coefficient vector with intercept first, slopes).
-    The singularity rule is the failure of scipy's `cho_factor`, not
-    `metrics.factor_moment`: numpy's and scipy's Cholesky factors of one
-    matrix can differ in the last bit (on 99 of 4,000 random designs
+    The singularity rule is the failure of LAPACK's `dpotrf` and
+    `dpotrs` under the checks of scipy's `cho_factor` and `cho_solve`,
+    not `metrics.factor_moment`: numpy's and LAPACK's Cholesky factors of
+    one matrix can differ in the last bit (on 99 of 4,000 random designs
     with 2 to 11 uniform covariates), so moving the fit onto
     `factor_moment` would change the bytes of `simulate` reports.
     Z^T y is summed over blocks of `GEN_ROWS` rows, so that it does not
@@ -180,8 +180,15 @@ def ols_fit(x, y, sel):
     zy = z[:GEN_ROWS].T @ ys[:GEN_ROWS]
     for a in range(GEN_ROWS, ys.size, GEN_ROWS):
         zy += z[a:a + GEN_ROWS].T @ ys[a:a + GEN_ROWS]
-    try:   # scipy raises ValueError on moments that overflowed to inf
-        beta = cho_solve(cho_factor(z.T @ z, lower=True), zy)
+    try:   # as in cho_factor and cho_solve, non-finite moments: ValueError
+        chol, info = dpotrf(np.asarray_chkfinite(z.T @ z), lower=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"pivot {info} is not positive")
+        if info == 0:
+            beta, info = dpotrs(np.asarray_chkfinite(chol),
+                                np.asarray_chkfinite(zy), lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularMomentError("selection is singular or its moments "
                                   "overflow") from exc

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -1084,6 +1086,11 @@ def run_config(command, cfg, workdir):
      "config field beta0 is beyond the double range"),
     ("simulate", {"outliers": {"count": 5, "mean_shift": [10 ** 400, 0.0]}},
      "config field outliers.mean_shift[0] is beyond the double range"),
+    ("simulate", {"n": 10 ** 400}, "config field n is beyond the int64 range"),
+    ("simulate", {"outliers": {"count": -10 ** 400, "mean_shift": [5.0, 0.0]}},
+     "config field outliers.count is beyond the int64 range"),
+    ("timing", {"ks": [2 ** 63]},
+     "config field ks[0] is beyond the int64 range"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -1100,13 +1107,26 @@ def run_config(command, cfg, workdir):
         "timing-repetitions0", "timing-seed-negative", "timing-k-equals-n",
         "simulate-sigma2-inf", "simulate-beta0-inf", "simulate-beta1-inf",
         "simulate-mean-shift-inf", "simulate-beta0-huge-int",
-        "simulate-mean-shift-huge-int"])
+        "simulate-mean-shift-huge-int", "simulate-n-huge-int",
+        "simulate-count-huge-int", "timing-ks-huge-int"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},
                          tmp_path)
     assert rc == cli.EXIT_INGEST
     assert err.startswith("error:") and needle in err, err
+
+
+def test_size_beyond_the_address_space_is_config_error(tmp_path):
+    # 10**14 rows of two doubles, 1.42 PiB, is refused at once.  A size
+    # that could really be allocated must not be tried here: with
+    # overcommit, such a process is killed rather than refused.
+    rc, err = run_config("simulate", dict(n=10 ** 14, p=2, k=10, K=4,
+                                          repetitions=1, methods=["iboss"]),
+                         tmp_path)
+    assert rc == cli.EXIT_INGEST
+    assert err.startswith("error: out of memory: Unable to allocate") \
+        and "(100000000000000, 2)" in err, err
 
 
 def test_exchange_without_pool_fails_before_any_data(tmp_path, monkeypatch):
@@ -1404,6 +1424,18 @@ class TestReplayCommand:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_startup_imports_no_scipy_linalg():
+    # every command pays its imports; scipy.linalg's __init__ (and the
+    # numpy.f2py it pulls in) was about half of that
+    code = ("import subdopt, subdopt.cli, sys; print(sorted(m for m in "
+            "('scipy.linalg', 'numpy.f2py') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out == "[]\n", out
 
 
 @pytest.mark.parametrize("doc", ["README.md", "demos/README.md"])

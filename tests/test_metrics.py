@@ -86,6 +86,38 @@ class TestEfficiency:
             assert metrics.efficiency(x, range(k)).a_eff == \
                 p1 / (k * float(np.sum(want * want)))
 
+    def test_loaded_dtrsm_matches_scipy_blas(self):
+        # metrics loads dtrsm from scipy's _fblas extension file; a scipy
+        # release that moves or changes it must fail here
+        from scipy.linalg.blas import dtrsm
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            p1 = 1 + trial % 12
+            x = rng.uniform(-1, 1, (p1 + rng.integers(1, 60), p1 - 1))
+            if trial % 3 == 1:
+                x = np.round(x, 1)
+            elif trial % 3 == 2 and p1 > 2:
+                x[:, -1] = x[:, 0] + 1e-7 * rng.standard_normal(x.shape[0])
+            z = metrics.augment(x)
+            try:
+                chol, _ = metrics.factor_moment(z.T @ z)
+            except SingularMomentError:
+                continue
+            want = dtrsm(1.0, chol, np.eye(p1), lower=1)
+            assert metrics.dtrsm(1.0, chol, np.eye(p1), lower=1).tobytes() \
+                == want.tobytes()
+
+    def test_missing_extension_file_is_named(self):
+        with pytest.raises(ImportError, match=r"linalg/_nosuch\.\*"):
+            metrics._scipy_linalg("_nosuch", "dtrsm")
+
+    def test_missing_scipy_is_named(self, monkeypatch):
+        monkeypatch.setattr(metrics.importlib.util, "find_spec",
+                            lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="No module named "
+                           "'scipy'"):
+            metrics._scipy_linalg("_fblas", "dtrsm")
+
     def test_efficiencies_bounded_for_scaled_data(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (50, 4))

@@ -50,6 +50,31 @@ class TestOlsFit:
             simulate.ols_fit(x, np.ones(4), range(4))
         assert isinstance(got.value.__cause__, cause)
 
+    def test_solve_matches_cho_solve(self):
+        # ols_fit calls LAPACK dpotrf and dpotrs itself; it must give the
+        # bits of scipy's cho_factor and cho_solve, and fail where they do
+        from scipy.linalg import cho_factor, cho_solve
+        rng = np.random.default_rng(12)
+        for trial in range(3000):
+            p1 = 1 + trial % 12
+            k = max(1, p1 + int(rng.integers(-3, 200)))   # k < p1: singular
+            x = rng.uniform(-1, 1, (k, p1 - 1))
+            if trial % 3 == 1:   # ties, and now and then a singular design
+                x = np.round(x, 1)
+            elif trial % 3 == 2 and p1 > 2:   # one nearly collinear column
+                x[:, -1] = x[:, 0] + 1e-7 * rng.standard_normal(k)
+            y = rng.standard_normal(k)
+            z = metrics.augment(x)
+            try:
+                want = cho_solve(cho_factor(z.T @ z, lower=True), z.T @ y)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                with pytest.raises(metrics.SingularMomentError) as got:
+                    simulate.ols_fit(x, y, np.arange(k))
+                assert type(got.value.__cause__) is type(exc)
+                continue
+            beta, _ = simulate.ols_fit(x, y, np.arange(k))
+            assert beta.tobytes() == want.tobytes()
+
     def test_full_data_fit_independent_of_thread_count(self):
         # bootstrap_mse fits all n rows for its reference.  One Z^T y
         # product over 60,000 rows differs in the last bit between one
