@@ -133,7 +133,7 @@ def _exchange(x, seed, K, iterations, first_improvement, pool=None):
     if pool is None:
         pool = candidate_pool(x, idx, K)
     t0 = time.perf_counter()
-    F = pool.indices.copy()
+    F = as_indices(pool).copy()
     if k < 1 or np.unique(np.concatenate((idx, F))).size != k + F.size:
         raise ValueError("selection must be non-empty, with rows distinct "
                          "from each other and from the pool")

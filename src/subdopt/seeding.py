@@ -181,7 +181,7 @@ def iboss_seed(x, k):
 
     For each covariate in order, r rows with the smallest and r with the
     largest values are taken among not-yet-selected rows.  The base count
-    is floor(k / 2p); the remainder is handed out one per extreme starting
+    is floor(k / 2p); the remainder is handed out one per end starting
     from covariate 1 (small end first) so the total is exactly k.  Each
     end is listed from the most extreme value inward; ties go to the
     lower row.  One pass over x finds the per-block column extremes
@@ -192,22 +192,14 @@ def iboss_seed(x, k):
     x = np.asarray(x, dtype=float)
     n, p = x.shape
     _check_k(k, n)
-    base = k // (2 * p)
-    rem = k - 2 * p * base
-    counts = []
-    for j in range(p):
-        for _ in ("small", "large"):
-            counts.append(base + (1 if rem > 0 else 0))
-            rem -= 1
+    base, rem = divmod(k, 2 * p)
     blocks = _block_extremes(x)
     taken = np.zeros(n, dtype=bool)
     chosen = []
-    for j in range(p):
-        for largest in (False, True):
-            take = _extremes(x, j, counts[2 * j + largest], taken, blocks,
-                             largest)
-            chosen.append(take)
-            taken[take] = True
+    for e in range(2 * p):   # end e: column e // 2, its large end if e odd
+        take = _extremes(x, e // 2, base + (e < rem), taken, blocks, e % 2)
+        chosen.append(take)
+        taken[take] = True
     return Selection(np.concatenate(chosen))
 
 
@@ -296,7 +288,11 @@ def oss_seed(x, k):
     loss, both at the elimination boundary and for the next pick, go to
     the lower row index.  Each elimination compacts |x|^2, the sign codes
     and the loss to the rows kept, so loss updates read contiguous rows; a
-    pick is held there at loss +inf.  A NaN in x raises ValueError.
+    pick is held there at loss +inf, which sorts last only while the other
+    losses are finite.  With 0 <= m <= p a loss term is at most (N + 2p)^2,
+    N = max |x|^2, and k - 1 are summed: ValueError unless max(k - 1, 1)
+    (N + 2p)^2 is at most half the largest double (a margin for rounding),
+    as for a NaN in x.
 
     Cost: one O(np) pass, ROWS rows at a time, computes |x|^2 and packs
     each row's signs into ceil(p / 64) words per sign, each word the
@@ -310,8 +306,9 @@ def oss_seed(x, k):
     n, p = x.shape
     _check_k(k, n)
     norms2, pos, neg = _codes(x)
-    if np.isnan(norms2.max()):
-        raise ValueError("x holds a NaN")
+    bound = math.sqrt(np.finfo(float).max / 2.0 / max(k - 1, 1))
+    if not norms2.max() + 2.0 * p <= bound:   # a NaN fails too
+        raise ValueError("x holds a NaN, or its OSS losses could overflow")
     chosen = np.empty(k, dtype=np.intp)
     j = chosen[0] = int(np.argmax(norms2))   # the last pick's position
     ids = None   # the row at each position, once an elimination cuts rows

@@ -85,6 +85,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if int(self.n) * int(self.p) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"n={self.n} rows of p={self.p} doubles are "
+                              f"more bytes than one array can hold")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if not self.methods:
@@ -144,13 +147,11 @@ class ExperimentReport:
                 out[m] = {"failed": True}
                 continue
             agg = {"count": len(recs)}
-            for name, get in (
-                    ("mse_intercept", lambda r: r.mse.mse_intercept),
-                    ("mse_slopes", lambda r: r.mse.mse_slopes),
-                    ("gen_variance", lambda r: r.eff.gen_variance),
-                    ("d_eff", lambda r: r.eff.d_eff),
-                    ("a_eff", lambda r: r.eff.a_eff)):
-                vals = np.array([get(r) for r in recs])
+            for part, name in (("mse", "mse_intercept"), ("mse", "mse_slopes"),
+                               ("eff", "gen_variance"), ("eff", "d_eff"),
+                               ("eff", "a_eff")):
+                vals = np.array([getattr(getattr(r, part), name)
+                                 for r in recs])
                 agg[name] = {
                     "mean": float(vals.mean()),
                     "median": float(np.median(vals)),
@@ -195,15 +196,6 @@ def ols_fit(x, y, sel):
     return beta, beta[1:]
 
 
-def adjusted_intercept(y_bar_full, x_bar_full, slopes):
-    """Intercept from full-data means paired with subdata slopes."""
-    x_bar_full = np.asarray(x_bar_full, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    if x_bar_full.shape != slopes.shape:
-        raise ValueError("x_bar_full and slopes dimensions differ")
-    return float(y_bar_full - x_bar_full @ slopes)
-
-
 def gen_mvn_equicorr(n, p, rho, rng_seed):
     """Rows i.i.d. N(0, (1-rho) I + rho J)."""
     if not 0.0 <= rho < 1.0:
@@ -221,8 +213,7 @@ def gen_outlier_scenario(n, p, count, mean_shift, rho, rng_seed):
     if count > n:
         raise ValueError(f"count={count} exceeds n={n}")
     x = gen_mvn_equicorr(n, p, rho, rng_seed)
-    if count > 0:
-        x[n - count:] += np.asarray(mean_shift, dtype=float)
+    x[n - count:] += np.asarray(mean_shift, dtype=float)
     return x
 
 
@@ -303,6 +294,7 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
         return [RunRecord(m, rep, seed, None, None, error=str(exc))
                 for m in cfg.methods]
     records, cache = [], {}
+    outliers = cfg.outliers or OutlierSpec(0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         y_bar, x_bar = y.mean(), x.mean(axis=0)
     for method in cfg.methods:
@@ -310,7 +302,8 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
             sel = select(x_scaled, cfg, method, rep, cache)[0]
             with np.errstate(over="ignore", invalid="ignore"):
                 _, slopes = ols_fit(x, y, sel)
-                b0 = adjusted_intercept(y_bar, x_bar, slopes)
+                # the intercept pairs the full-data means with the slopes
+                b0 = float(y_bar - x_bar @ slopes)
                 msr = metrics.mse(np.concatenate(([b0], slopes)), beta_ref)
             if not np.isfinite([msr.mse_intercept, msr.mse_slopes]).all():
                 raise SingularMomentError("the squared error overflows")
@@ -319,13 +312,10 @@ def _run_one(x, y, cfg, rep, beta_ref, keep_selections=False):
             records.append(RunRecord(method, rep, seed, None, None,
                                      error=str(exc)))
             continue
-        n_out = 0
-        if cfg.outliers is not None and cfg.outliers.count > 0:
-            n_out = int(np.count_nonzero(
-                sel.indices >= cfg.n - cfg.outliers.count))
         records.append(RunRecord(
             method, rep, seed, msr, eff,
-            sel.indices.copy() if keep_selections else None, n_out))
+            sel.indices.copy() if keep_selections else None,
+            int(np.count_nonzero(sel.indices >= cfg.n - outliers.count))))
     return records
 
 
@@ -343,13 +333,11 @@ def run_experiment(config, keep_selections=False):
     """Simulation protocol: generate, select, fit, score, repeat."""
     cfg = config.validate()
     params = cfg.model_params()
+    outliers = cfg.outliers or OutlierSpec(0, 0.0)
 
     def draw(seed):
-        if cfg.outliers is not None:
-            x = gen_outlier_scenario(cfg.n, cfg.p, cfg.outliers.count,
-                                     cfg.outliers.mean_shift, cfg.rho, seed)
-        else:
-            x = gen_mvn_equicorr(cfg.n, cfg.p, cfg.rho, seed)
+        x = gen_outlier_scenario(cfg.n, cfg.p, outliers.count,
+                                 outliers.mean_shift, cfg.rho, seed)
         return x, gen_response(x, params, seed + 10 ** 9)
 
     return _repeat(cfg, draw, params.beta, keep_selections)

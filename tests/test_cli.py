@@ -1091,6 +1091,9 @@ def run_config(command, cfg, workdir):
      "config field outliers.count is beyond the int64 range"),
     ("timing", {"ks": [2 ** 63]},
      "config field ks[0] is beyond the int64 range"),
+    # validation refuses these sizes before anything is allocated
+    ("simulate", {"n": 2 ** 62}, "n=4611686018427387904 rows of p=2 doubles"),
+    ("timing", {"n": 2 ** 62}, "n=4611686018427387904 rows of p=2 doubles"),
 ], ids=["simulate-empty-methods", "simulate-n-string", "simulate-beta1-length",
         "simulate-mean-shift-length", "simulate-count-string",
         "timing-iterations0", "timing-k0", "timing-K0", "timing-n-string",
@@ -1108,7 +1111,8 @@ def run_config(command, cfg, workdir):
         "simulate-sigma2-inf", "simulate-beta0-inf", "simulate-beta1-inf",
         "simulate-mean-shift-inf", "simulate-beta0-huge-int",
         "simulate-mean-shift-huge-int", "simulate-n-huge-int",
-        "simulate-count-huge-int", "timing-ks-huge-int"])
+        "simulate-count-huge-int", "timing-ks-huge-int",
+        "simulate-np-beyond-intp", "timing-np-beyond-intp"])
 def test_bad_config_is_config_error(tmp_path, command, change, needle):
     write_csv(tmp_path / "data.csv")
     rc, err = run_config(command, {**BASE_CONFIGS[command], **change},

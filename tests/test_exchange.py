@@ -64,10 +64,12 @@ class TestCandidatePool:
     (lambda x: exchange.valg1(x, seeding.Selection([0, 1]), 2,
                               pool=seeding.Selection([1, 2])),
      r"^selection must be non-empty, with rows distinct"),
+    (lambda x: exchange.alg1(x, np.array([0, 1]), 2, pool=np.array([1, 2])),
+     r"^selection must be non-empty, with rows distinct"),
     (lambda x: exchange.candidate_pool(x, seeding.Selection(range(5)), 2),
      r"^no unselected rows left to build a pool from$"),
 ], ids=["alg1-iterations0", "seed-repeats-a-row", "seed-overlaps-pool",
-        "pool-every-row-selected"])
+        "seed-overlaps-pool-array", "pool-every-row-selected"])
 def test_bad_arguments_rejected(call, match):
     x = np.arange(10.0).reshape(5, 2) ** 2
     with pytest.raises(ValueError, match=match):

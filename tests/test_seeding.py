@@ -541,6 +541,17 @@ def test_oss_rejects_nan(n, k):
         seeding.oss_seed(x, k)
 
 
+def test_oss_rejects_losses_that_could_overflow():
+    # at 1e200 the losses overflow and the held picks would no longer sort
+    # last; at 1e70 the largest loss sum is about 1e283, and every pick is
+    # a new row
+    x = np.random.default_rng(0).uniform(-1, 1, (500, 3))
+    with pytest.raises(ValueError, match="NaN, or its OSS losses could "
+                                         "overflow"):
+        seeding.oss_seed(x * 1e200, 20)
+    assert np.unique(seeding.oss_seed(x * 1e70, 20).indices).size == 20
+
+
 @st.composite
 def pool_case(draw):
     n = draw(st.integers(2, 40))

@@ -120,29 +120,6 @@ class TestConditionalSlopeMse:
         assert abs(errs.mean() - expected) < 4 * mc_se
 
 
-class TestAdjustedIntercept:
-    def test_hand_value(self):
-        assert simulate.adjusted_intercept(10.0, [1.0, 2.0], [1.0, 1.0]) \
-            == pytest.approx(7.0)
-
-    def test_centered_covariates(self):
-        assert simulate.adjusted_intercept(5.0, [0.0, 0.0], [3.0, -2.0]) \
-            == pytest.approx(5.0)
-
-    def test_noiseless_model_recovers_beta0(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((500, 3))
-        params = ModelParams(2.5, [1.0, -1.0, 0.5], 0.0)
-        y = simulate.gen_response(x, params, 0)
-        _, slopes = simulate.ols_fit(x, y, np.arange(40))
-        b0 = simulate.adjusted_intercept(y.mean(), x.mean(axis=0), slopes)
-        assert b0 == pytest.approx(2.5, abs=1e-8)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            simulate.adjusted_intercept(1.0, [1.0], [1.0, 2.0])
-
-
 class TestGenerators:
     def test_identity_covariance(self):
         x = simulate.gen_mvn_equicorr(100_000, 4, 0.0, 1)
@@ -256,6 +233,35 @@ class TestRunExperiment:
             assert rec.eff.gen_variance == pytest.approx(
                 again.gen_variance, rel=1e-10)
 
+    @pytest.mark.parametrize("outliers", [None, OutlierSpec(10, [8.0, 0, 0])],
+                             ids=["no-outliers", "outliers"])
+    def test_intercept_pairs_full_data_means_with_subdata_slopes(
+            self, outliers):
+        # each record's intercept error is that of ybar - xbar . slopes,
+        # with the slopes refitted on its selection, bit for bit
+        cfg = self.small_config(methods=simulate.METHODS, outliers=outliers)
+        count = 0 if outliers is None else outliers.count
+        report = simulate.run_experiment(cfg, keep_selections=True)
+        for rec in report.records:
+            x = simulate.gen_outlier_scenario(cfg.n, cfg.p, count, [8.0, 0, 0],
+                                              cfg.rho, rec.seed)
+            y = simulate.gen_response(x, cfg.model_params(), rec.seed + 10**9)
+            _, slopes = simulate.ols_fit(x, y, rec.selection)
+            b0 = y.mean() - x.mean(axis=0) @ slopes
+            assert (b0 - cfg.beta0) ** 2 == rec.mse.mse_intercept
+            assert rec.outliers_selected == \
+                np.count_nonzero(rec.selection >= cfg.n - count)
+
+    def test_noiseless_model_recovers_beta0(self):
+        cfg = self.small_config(methods=simulate.METHODS, sigma2=0.0,
+                                beta0=2.5, beta1=np.array([1.0, -1.0, 0.5]))
+        recs = [r for r in simulate.run_experiment(cfg).records
+                if not r.error]
+        assert len(recs) == 10
+        for rec in recs:
+            assert rec.mse.mse_intercept == pytest.approx(0.0, abs=1e-16)
+            assert rec.mse.mse_slopes == pytest.approx(0.0, abs=1e-16)
+
     def test_outlier_rows_reported(self):
         cfg = self.small_config(
             methods=("iboss",),
@@ -275,6 +281,10 @@ class TestRunExperiment:
             self.small_config(methods=("magic",)).validate()
         with pytest.raises(ConfigError, match=r"^sigma2 must be >= 0$"):
             self.small_config(sigma2=-1.0).validate()
+        # numpy integers must not wrap in the size bound
+        with pytest.raises(ConfigError, match=r"^n=4611686018427387904 rows "
+                                              r"of p=3 doubles are more"):
+            self.small_config(n=np.int64(2 ** 62)).validate()
         # an exchange needs a pool row outside the selection
         for methods in (("alg1",), ("uniform", "valg1")):
             with pytest.raises(ConfigError, match=r"^k = n = 400 leaves no "
