@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, seeding, simulate
-from .ingest import IngestError, IngestSpec, _resolve, ingest, sha256
+from .ingest import IngestError, IngestSpec, ingest, resolve_column, sha256
 from .metrics import SingularMomentError
 from .simulate import ConfigError, ExperimentConfig
 
@@ -87,8 +87,7 @@ def _write_report(report, outdir):
     agg = report.aggregates()
     _write_json(outdir / "report.json", {"records": rows, "aggregates": agg})
     with open(outdir / "report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS,
-                                extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"{'method':<8} {'mse_slopes':>12} {'mse_b0':>10} "
@@ -293,7 +292,7 @@ def _svg_hulls(full_hull, sub_hull, full_pts):
 
 
 def _parse_pair(text, columns):
-    out = [_resolve(_col(part.strip()), columns, "pair")
+    out = [resolve_column(_col(part.strip()), columns, "pair")
            for part in text.split(",")]
     if len(out) != 2 or out[0] == out[1]:
         raise ConfigError(f"pair {text!r} must be 'colA,colB' with two "
@@ -484,7 +483,8 @@ def main(argv=None):
             return replay(args.manifest, args.out)
         return _run(args, argv, _load_json(args.config)
                     if "config" in args else None)
-    except (IngestError, ConfigError, seeding.ColumnRangeError) as exc:
+    except (IngestError, ConfigError, seeding.ColumnRangeError,
+            OSError) as exc:   # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except MemoryError as exc:   # numpy names the array it could not make

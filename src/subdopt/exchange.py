@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import SingularMomentError, as_indices, augment, factor_moment
-from .seeding import Selection, _block_extremes, _extremes
+from .metrics import SingularMomentError, augment, factor_moment
+from .seeding import Selection, as_indices, candidate_pool
 
 #: Relative strict-improvement threshold on the determinant ratio,
 #: guarding against cycling on floating-point noise.
@@ -55,42 +55,6 @@ class ExchangeTrace:
     #: was singular, or because its log V was not higher
     slots_singular: int = 0
     slots_not_higher: int = 0
-
-
-def candidate_pool(x, sel, K):
-    """Extreme rows per covariate among the unselected data, as a
-    `Selection` of distinct rows in construction order.
-
-    For each covariate in order: the K/2 smallest rows (ascending), then
-    the K/2 largest (ascending, maximum last).  Odd K gives the large end
-    the extra row.  Ties go to the lower row at the small end and to the
-    higher row at the large end, and rows tied in value are listed by
-    ascending row.  Rows taken for an earlier covariate are *not*
-    excluded, so a row can be appended twice; the final pool keeps unique
-    rows by first occurrence.  One pass over x finds the per-block column
-    extremes, and each end reads only the blocks that can hold its rows
-    (`seeding._extremes`), so the pool is O(np).
-    """
-    if K < 1:
-        raise ValueError(f"K must be a positive integer, got {K}")
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    taken = np.zeros(n, dtype=bool)
-    taken[as_indices(sel)] = True
-    if taken.all():
-        raise ValueError("no unselected rows left to build a pool from")
-    blocks = _block_extremes(x)
-    parts = []
-    for j in range(p):
-        parts.append(_extremes(x, j, K // 2, taken, blocks))
-        # the large end from the maximum inward, ties to the higher row,
-        # read backwards
-        parts.append(_extremes(x, j, K - K // 2, taken, blocks,
-                               largest=True, ties_high=True)[::-1])
-    stacked = np.concatenate(parts)
-    _, first = np.unique(stacked, return_index=True)
-    pool = stacked[np.sort(first)]
-    return Selection(pool)
 
 
 def _scan_state(ZS, ZF):

@@ -43,7 +43,7 @@ class Dataset:
     checksum: str | None = None
 
 
-def _resolve(col, names, what):
+def resolve_column(col, names, what):
     if isinstance(col, int):
         if not 0 <= col < len(names):
             raise IngestError(f"{what} column index {col} out of range "
@@ -71,11 +71,11 @@ def _open(spec, path=None):
 
 
 def _header(lines, spec):
-    """Skip `skip_rows` rows of the text `lines` and read the header:
-    (csv reader, names)."""
+    """Skip `skip_rows` rows of the text `lines`, or up to its end, and
+    read the header: (csv reader, names)."""
     reader = csv.reader(lines, delimiter=spec.delimiter)
-    for _ in range(spec.skip_rows):
-        next(reader, None)
+    for _ in zip(range(spec.skip_rows), reader):   # stops at the end
+        pass
     if not spec.header:
         return reader, None
     names = next(reader, None)
@@ -86,12 +86,14 @@ def _header(lines, spec):
 
 def _columns(spec, names):
     """Resolve the covariate, response and log-transform columns against
-    `names`: (covariate indices, response index or None, log indices)."""
+    `names`: (covariate indices, response index or None, log indices,
+    the columns a parse reads: the covariates, then the response)."""
     resp_idx = None
     if spec.response is not None:
-        resp_idx = _resolve(spec.response, names, "response")
+        resp_idx = resolve_column(spec.response, names, "response")
     if spec.covariates is not None:
-        cov_idx = [_resolve(c, names, "covariate") for c in spec.covariates]
+        cov_idx = [resolve_column(c, names, "covariate")
+                   for c in spec.covariates]
         for i, j in enumerate(cov_idx):
             if j in cov_idx[:i]:
                 raise IngestError(f"covariate column {names[j]!r} is "
@@ -102,21 +104,17 @@ def _columns(spec, names):
         raise IngestError(f"no covariate column; available: {names}")
     if resp_idx is not None and resp_idx in cov_idx:
         raise IngestError("response column also listed as a covariate")
-    log_idx = {_resolve(c, names, "log-transform") for c in spec.log_columns}
-    return cov_idx, resp_idx, log_idx
-
-
-def _used(columns):
-    """The columns a parse reads: the covariates, then the response."""
-    cov_idx, resp_idx, _ = columns
-    return cov_idx + ([resp_idx] if resp_idx is not None else [])
+    log_idx = {resolve_column(c, names, "log-transform")
+               for c in spec.log_columns}
+    return (cov_idx, resp_idx, log_idx,
+            cov_idx + ([resp_idx] if resp_idx is not None else []))
 
 
 def _dataset(names, columns, data, n_rejected, chunks):
-    """The shared tail of both parsers: split `data` (the `_used` columns)
-    into covariates and response and apply the log-transforms."""
-    cov_idx, resp_idx, log_idx = columns
-    for jj, j in enumerate(_used(columns)):
+    """The shared tail of both parsers: split `data` (the columns a parse
+    reads) into covariates and response and apply the log-transforms."""
+    cov_idx, resp_idx, log_idx, used = columns
+    for jj, j in enumerate(used):
         if j in log_idx:
             if np.any(data[:, jj] <= 0):
                 raise IngestError(
@@ -322,7 +320,7 @@ def _ingest(spec, fh):
         if names is not None:
             # a column that does not resolve is raised once the rows parse
             with contextlib.suppress(IngestError):
-                used = _used(_columns(spec, names))
+                used = _columns(spec, names)[3]
                 unused = {j: _skip for j in range(len(names))
                           if j not in used}
         ranges = _ranges(fh, fh.tell())
@@ -346,7 +344,7 @@ def _ingest(spec, fh):
         if len(names) != width:
             raise ValueError("the row parser names the mismatch")
         columns = _columns(spec, names)
-        used = _used(columns)
+        used = columns[3]
         # column-major, as `data[:, used]` was: each column is
         # contiguous for the column passes of scaling and seeding
         data = np.empty((sum(h[0] for h in heads), len(used)), order="F")
@@ -418,7 +416,7 @@ def _ingest_rows(spec, path=None):
         raise IngestError(f"{spec.path}: header has {len(names)} names "
                           f"but rows have {width} fields")
     columns = _columns(spec, names)
-    used = _used(columns)
+    used = columns[3]
     data = np.empty((len(rows), len(used)))
     for i, (line_no, row) in enumerate(rows):
         for jj, j in enumerate(used):

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .seeding import as_indices
+
 
 def _scipy_linalg(name, *routines):
     """`routines` of the extension file scipy/linalg/<name>, loaded without
@@ -46,11 +48,6 @@ dpotrf, dpotrs = _scipy_linalg("_flapack", "dpotrf", "dpotrs")
 
 class SingularMomentError(Exception):
     """The selected rows do not span: Cholesky factorization failed."""
-
-
-def as_indices(sel):
-    """Accept a Selection object or a plain index array."""
-    return np.asarray(getattr(sel, "indices", sel), dtype=np.intp)
 
 
 def augment(x):

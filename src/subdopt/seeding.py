@@ -1,4 +1,5 @@
-"""Initial subdata selectors: uniform, IBOSS and OSS.
+"""Initial subdata selectors: uniform, IBOSS and OSS, and the exchange's
+candidate pool of extreme rows.
 
 All selectors return row indices into the original data and are
 deterministic; ties in covariate values break on the lower row index.
@@ -26,6 +27,11 @@ class Selection:
 
     def __len__(self):
         return int(self.indices.size)
+
+
+def as_indices(sel):
+    """Accept a Selection object or a plain index array."""
+    return np.asarray(getattr(sel, "indices", sel), dtype=np.intp)
 
 
 #: Rows per block of `_block_extremes`
@@ -157,6 +163,7 @@ def _extremes(x, j, m, taken, blocks, largest=False, ties_high=False):
     hundred blocks at n = 1e6 and t near 100.  A block whose extreme is
     NaN is kept, and every block if the t-th is NaN.
     """
+    m = min(m, x.shape[0])   # an end holds at most every row
     if m <= 0:
         return np.empty(0, dtype=np.intp)
     ends = -blocks[1][:, j] if largest else blocks[0][:, j]
@@ -201,6 +208,42 @@ def iboss_seed(x, k):
         chosen.append(take)
         taken[take] = True
     return Selection(np.concatenate(chosen))
+
+
+def candidate_pool(x, sel, K):
+    """Extreme rows per covariate among the unselected data, as a
+    `Selection` of distinct rows in construction order.
+
+    For each covariate in order: the K/2 smallest rows (ascending), then
+    the K/2 largest (ascending, maximum last).  Odd K gives the large end
+    the extra row.  Ties go to the lower row at the small end and to the
+    higher row at the large end, and rows tied in value are listed by
+    ascending row.  Rows taken for an earlier covariate are *not*
+    excluded, so a row can be appended twice; the final pool keeps unique
+    rows by first occurrence.  One pass over x finds the per-block column
+    extremes, and each end reads only the blocks that can hold its rows
+    (`_extremes`), so the pool is O(np).
+    """
+    if K < 1:
+        raise ValueError(f"K must be a positive integer, got {K}")
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    taken = np.zeros(n, dtype=bool)
+    taken[as_indices(sel)] = True
+    if taken.all():
+        raise ValueError("no unselected rows left to build a pool from")
+    blocks = _block_extremes(x)
+    parts = []
+    for j in range(p):
+        parts.append(_extremes(x, j, K // 2, taken, blocks))
+        # the large end from the maximum inward, ties to the higher row,
+        # read backwards
+        parts.append(_extremes(x, j, K - K // 2, taken, blocks,
+                               largest=True, ties_high=True)[::-1])
+    stacked = np.concatenate(parts)
+    _, first = np.unique(stacked, return_index=True)
+    pool = stacked[np.sort(first)]
+    return Selection(pool)
 
 
 def _pack(compare, x, buf, out):
@@ -312,9 +355,6 @@ def oss_seed(x, k):
     chosen = np.empty(k, dtype=np.intp)
     j = chosen[0] = int(np.argmax(norms2))   # the last pick's position
     ids = None   # the row at each position, once an elimination cuts rows
-
-    def row(at):
-        return at if ids is None else ids[at]
     loss = np.zeros(n)
     r = math.log(n) / math.log(k) if k > 1 else 1.0   # k = 1: no loop
     for i in range(1, k):
@@ -331,7 +371,7 @@ def oss_seed(x, k):
             norms2 = norms2[live]
             pos = pos[live]
             neg = neg[live]
-            ids = row(live)
+            ids = live if ids is None else ids[live]
         j = int(np.argmin(loss))
-        chosen[i] = row(j)
+        chosen[i] = j if ids is None else ids[j]
     return Selection(chosen)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exchange, metrics, seeding
-from .metrics import SingularMomentError, as_indices, augment, dpotrf, dpotrs
+from .metrics import SingularMomentError, augment, dpotrf, dpotrs
 
 
 class ConfigError(ValueError):
@@ -175,7 +175,7 @@ def ols_fit(x, y, sel):
     Z^T y is summed over blocks of `GEN_ROWS` rows, so that it does not
     depend on the BLAS thread count (see `gen_response`).
     """
-    idx = as_indices(sel)
+    idx = seeding.as_indices(sel)
     z = augment(np.asarray(x, dtype=float)[idx])
     ys = np.asarray(y, dtype=float)[idx]
     zy = z[:GEN_ROWS].T @ ys[:GEN_ROWS]

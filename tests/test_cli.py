@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdopt import cli, seeding, simulate
+from subdopt import cli, exchange, metrics, seeding, simulate
 from subdopt import ingest as ingest_module
 from subdopt.ingest import IngestError, IngestSpec, _ingest_rows, ingest
 from subdopt.metrics import SingularMomentError
@@ -60,6 +62,25 @@ class TestIngest:
         ds = ingest(IngestSpec(str(path), skip_rows=2, log_columns=["v"]))
         np.testing.assert_allclose(ds.x[:, 1], np.log([10.0, 100.0]))
         assert ds.x.shape == (2, 2)
+
+    @pytest.mark.parametrize("parse", [ingest, _ingest_rows])
+    @pytest.mark.parametrize("header, error", [
+        (True, "no header row found"),
+        (False, "all rows rejected or file empty")])
+    def test_skip_rows_past_the_end(self, csv_file, parse, header, error):
+        # skipping stops at the end of the file; a skip that reads on
+        # fails the test after 5 s instead of hanging it
+        def stuck(signum, frame):
+            pytest.fail("skip_rows read on past the end of the file")
+        old = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(5)
+        try:
+            with pytest.raises(IngestError, match=error):
+                parse(IngestSpec(str(csv_file), header=header,
+                                 skip_rows=10**18))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_non_numeric_cell_names_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -688,6 +709,19 @@ class TestSelectCommand:
         assert rc == 0
         idx = np.loadtxt(out / "indices.txt", dtype=int)
         assert sorted(idx) == list(range(120))
+
+    def test_K_beyond_int64(self, csv_file, tmp_path):
+        # an end of the pool holds at most every row, so any K past
+        # 2n selects the same rows
+        written = []
+        for K in ("9223372036854775807", "18446744073709551616"):
+            out = tmp_path / K
+            rc = cli.main(["select", "--input", str(csv_file),
+                           "--response", "resp", "--method", "alg1",
+                           "--k", "12", "--K", K, "--out", str(out)])
+            assert rc == 0
+            written.append((out / "indices.txt").read_bytes())
+        assert written[0] == written[1]
 
     def test_unknown_method_is_usage_error(self, csv_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -1428,6 +1462,50 @@ class TestReplayCommand:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("select", "indices.txt"), ("select", "report.json"),
+    ("select", "manifest.json"), ("simulate", "report.json"),
+    ("simulate", "report.csv"), ("simulate", "manifest.json"),
+    ("hull", "hulls.json"), ("hull", "manifest.json")])
+def test_unwritable_output_is_exit_3(csv_file, tmp_path, capsys, command,
+                                     blocked):
+    # a directory where an output file goes
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(n=200, p=2, k=16, K=4, repetitions=1,
+                                      methods=["valg1"])))
+    selection = tmp_path / "sel.txt"
+    selection.write_text("0\n1\n2\n")
+    data = ["--input", str(csv_file), "--response", "resp"]
+    argv = {"select": ["select", *data, "--method", "oss", "--k", "10"],
+            "simulate": ["simulate", "--config", str(config)],
+            "hull": ["hull", *data, "--selection", str(selection),
+                     "--pairs", "a,b"]}[command]
+    rc = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INGEST
+    assert err.startswith("error: ") and str(out / blocked) in err, err
+    assert "Traceback" not in err
+
+
+def test_no_module_imports_private_names():
+    # a name with one leading underscore is its own module's business:
+    # no module of the package imports one from another
+    for path in sorted((ROOT / "src" / "subdopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "subdopt"):
+                private = [a.name for a in node.names
+                           if re.match(r"_(?!_)", a.name)]
+                assert not private, \
+                    f"{path.name} imports {private} from {node.module}"
+    # the pool and the selection unwrap are built in seeding, and the
+    # other modules hand out the same functions
+    assert exchange.candidate_pool is seeding.candidate_pool
+    assert metrics.as_indices is seeding.as_indices
 
 
 def test_startup_imports_no_scipy_linalg():

@@ -44,6 +44,16 @@ class TestCandidatePool:
         pool = exchange.candidate_pool(x, seeding.Selection([0]), 3)
         assert list(pool.indices) == [1, 6, 7]
 
+    def test_K_beyond_int64_is_every_row(self):
+        # an end never holds more rows than x, so any K past 2n gives
+        # the pool of K = 2n
+        x = np.random.default_rng(3).standard_normal((300, 3))
+        sel = seeding.Selection([0, 1])
+        every = exchange.candidate_pool(x, sel, 600).indices.tolist()
+        for K in (2**64, 10**40):
+            assert exchange.candidate_pool(x, sel, K).indices.tolist() == \
+                every
+
     def test_nonpositive_K_rejected(self):
         x = np.arange(8.0).reshape(-1, 1)
         with pytest.raises(ValueError):
